@@ -3,10 +3,12 @@
 //!
 //! Life of a request:
 //!
-//! 1. The acceptor accepts the connection. If the bounded queue is full,
-//!    the request is read and answered `429 {"code":"queue_full"}` right
-//!    there — shedding is a structured response, never a dropped
-//!    connection — and the queue depth never exceeds its bound.
+//! 1. The acceptor sleeps in `poll(2)` until the listener is readable
+//!    (bounded, so the drain flag is still checked), then accepts the
+//!    connection. If the bounded queue is full, the request is read and
+//!    answered `429 {"code":"queue_full"}` right there — shedding is a
+//!    structured response, never a dropped connection — and the queue
+//!    depth never exceeds its bound.
 //! 2. A handler thread pops the connection and reads the request under the
 //!    slow-client deadline (every parse error is a structured 4xx, a
 //!    dribbling client a structured 408), then dispatches: `/healthz`,
@@ -98,6 +100,14 @@ impl Default for ServerConfig {
     }
 }
 
+/// Upper bound on one readiness wait of the acceptor: how long a SIGTERM
+/// taken by another thread can go unnoticed before the drain starts.
+const ACCEPT_WAIT: Duration = Duration::from_millis(100);
+
+/// Pause after an accept error, so a persistent one cannot spin the
+/// acceptor.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(20);
+
 /// Service counters, readable lock-free from `/stats`.
 #[derive(Default)]
 pub struct Stats {
@@ -108,6 +118,8 @@ pub struct Stats {
     pub jobs_err: AtomicU64,
     pub retries: AtomicU64,
     pub http_errors: AtomicU64,
+    /// `accept` failures other than `WouldBlock` (e.g. `EMFILE`).
+    pub accept_errors: AtomicU64,
 }
 
 // --- Shutdown flag + signal handling -----------------------------------
@@ -255,12 +267,13 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<()> {
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
+                // Sleep until a peer connects; the bound keeps the drain
+                // flag checked whichever thread took the signal.
+                if signals::wait_readable(&listener, ACCEPT_WAIT).is_err() {
+                    accept_error(&ctx);
+                }
             }
-            Err(e) => {
-                eprintln!("ccdpd: accept error: {e}");
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            Err(_) => accept_error(&ctx),
         }
     }
 
@@ -278,6 +291,14 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<()> {
         ctx.stats.shed.load(Ordering::Relaxed)
     );
     Ok(())
+}
+
+/// A failed `accept` (or readiness wait) other than `WouldBlock`: count it
+/// and back off. `EMFILE`/`ENFILE` leave the listener readable, so without
+/// the back-off the acceptor would spin.
+fn accept_error(ctx: &Ctx) {
+    ctx.stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+    std::thread::sleep(ACCEPT_ERROR_BACKOFF);
 }
 
 /// Admission control: the queue refused this connection. Read the request
@@ -515,6 +536,7 @@ fn stats_json(ctx: &Ctx) -> Json {
         ("jobs_err", s.jobs_err.load(Ordering::Relaxed).to_json()),
         ("retries", s.retries.load(Ordering::Relaxed).to_json()),
         ("http_errors", s.http_errors.load(Ordering::Relaxed).to_json()),
+        ("accept_errors", s.accept_errors.load(Ordering::Relaxed).to_json()),
         ("queue_depth", ctx.queue.depth().to_json()),
         ("queue_cap", ctx.queue.capacity().to_json()),
         ("cache_entries", ctx.cache.len().to_json()),

@@ -248,12 +248,21 @@ struct PoolState {
     shutting_down: bool,
 }
 
+impl PoolState {
+    fn alive(&self) -> usize {
+        self.slots.iter().filter(|s| matches!(s.state, SlotState::Up(_))).count()
+    }
+}
+
 /// The worker-process pool. One per supervisor; shared across the
 /// connection-handler threads.
 pub struct Pool {
     cfg: PoolConfig,
     state: Mutex<PoolState>,
     idle_cv: Condvar,
+    /// Notified whenever a worker's exit has been recorded; the drain
+    /// waits on it.
+    exit_cv: Condvar,
     next_ticket: AtomicU64,
     monitor_stop: AtomicBool,
     /// Per-slot journals (same indexing as slots); empty = journaling off.
@@ -299,6 +308,7 @@ impl Pool {
             cfg,
             state: Mutex::new(state),
             idle_cv: Condvar::new(),
+            exit_cv: Condvar::new(),
             next_ticket: AtomicU64::new(1),
             monitor_stop: AtomicBool::new(false),
             journals,
@@ -319,8 +329,7 @@ impl Pool {
     }
 
     pub fn workers_alive(&self) -> usize {
-        let st = self.state.lock().expect("pool lock");
-        st.slots.iter().filter(|s| matches!(s.state, SlotState::Up(_))).count()
+        self.state.lock().expect("pool lock").alive()
     }
 
     /// Spawn (or respawn) the worker for `slot`. Prints the
@@ -468,6 +477,7 @@ impl Pool {
         if let Some(mut child) = dead_child {
             let _ = child.wait(); // reap; already exited (stdout EOF)
         }
+        self.exit_cv.notify_all();
         for t in orphans {
             let _ = t.tx.send(Reply::Died);
         }
@@ -675,43 +685,36 @@ impl Pool {
     }
 
     /// Graceful drain: stop respawns, ask every worker to exit, wait
-    /// briefly, then kill stragglers and reap everything.
+    /// briefly, then kill stragglers and reap everything. Each wait ends
+    /// as soon as the last worker's exit is recorded (`exit_cv`).
     pub fn shutdown(&self) {
         self.monitor_stop.store(true, Ordering::SeqCst);
-        {
-            let mut st = self.state.lock().expect("pool lock");
-            st.shutting_down = true;
-            for s in st.slots.iter_mut() {
-                if let SlotState::Up(w) = &mut s.state {
-                    let bye = Json::obj([("kind", "shutdown".to_json())]).to_string();
-                    let _ = writeln!(w.stdin, "{bye}").and_then(|()| w.stdin.flush());
-                }
+        let mut st = self.state.lock().expect("pool lock");
+        st.shutting_down = true;
+        for s in st.slots.iter_mut() {
+            if let SlotState::Up(w) = &mut s.state {
+                let bye = Json::obj([("kind", "shutdown".to_json())]).to_string();
+                let _ = writeln!(w.stdin, "{bye}").and_then(|()| w.stdin.flush());
             }
         }
         self.idle_cv.notify_all();
-        let deadline = Instant::now() + Duration::from_secs(3);
-        loop {
-            let alive = self.workers_alive();
-            if alive == 0 {
-                break;
-            }
-            if Instant::now() >= deadline {
-                let mut st = self.state.lock().expect("pool lock");
-                for s in st.slots.iter_mut() {
-                    if let SlotState::Up(w) = &mut s.state {
-                        if let Some(child) = &mut w.child {
-                            let _ = child.kill();
-                        }
+        let (mut st, waited) = self
+            .exit_cv
+            .wait_timeout_while(st, Duration::from_secs(3), |st| st.alive() > 0)
+            .expect("pool lock");
+        if waited.timed_out() {
+            for s in st.slots.iter_mut() {
+                if let SlotState::Up(w) = &mut s.state {
+                    if let Some(child) = &mut w.child {
+                        let _ = child.kill();
                     }
                 }
-                break;
             }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        // Readers reap on EOF; give the last transitions a moment.
-        let settle = Instant::now() + Duration::from_millis(500);
-        while self.workers_alive() > 0 && Instant::now() < settle {
-            std::thread::sleep(Duration::from_millis(10));
+            // Readers reap on EOF; give the last transitions a moment.
+            let _ = self
+                .exit_cv
+                .wait_timeout_while(st, Duration::from_millis(500), |st| st.alive() > 0)
+                .expect("pool lock");
         }
     }
 }

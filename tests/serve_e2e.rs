@@ -235,6 +235,29 @@ fn duplicate_submissions_are_byte_identical() {
 }
 
 #[test]
+fn cache_hits_are_not_paced_by_the_acceptor() {
+    // The acceptor wakes on socket readiness: a hit on a fresh connection
+    // costs HTTP and a cache lookup, not a timer tick. An acceptor that
+    // sleeps 2 ms between empty accepts needs at least 1 s for 500
+    // sequential hits.
+    let mut d = spawn_ccdpd(&[]);
+    let job = job_json(9, 2);
+    let first = post_job(&d.addr, &job);
+    assert_eq!(body_of(&first).get("status").and_then(Json::as_str), Some("ok"));
+    let t0 = Instant::now();
+    for i in 0..500 {
+        assert_eq!(post_job(&d.addr, &job), first, "hit {i} must be byte-identical");
+    }
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(500), "500 cache hits took {took:?}");
+    let stats = body_of(&exchange(&d.addr, b"GET /stats HTTP/1.1\r\n\r\n"));
+    assert!(stats.get("accepted").and_then(Json::as_u64).unwrap() >= 501, "{stats:?}");
+    assert_eq!(stats.get("accept_errors").and_then(Json::as_u64), Some(0), "{stats:?}");
+    d.signal("-TERM");
+    assert!(d.wait_exit(Duration::from_secs(30)).success());
+}
+
+#[test]
 fn worker_kill_dash_nine_never_loses_the_response() {
     // Baseline: the canonical bytes for this job from an undisturbed run.
     let baseline = {
