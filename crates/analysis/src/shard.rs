@@ -1,7 +1,8 @@
 //! Static shard-independence analysis: prove, at compile time, that the
 //! PE blocks of a statically scheduled DOALL touch pairwise-disjoint cache
-//! lines — the static analogue of the simulator's dynamic ShardLog conflict
-//! check (and of LazyPIM-style signature comparison, done ahead of time).
+//! lines — LazyPIM-style conflict detection, done ahead of time instead of
+//! speculatively at run time. The simulator shards only epochs this pass
+//! proves.
 //!
 //! The simulator's epoch-sharded engine executes a DOALL's PE blocks on
 //! cloned state and merges them **in block order**. A merge is only unsound
@@ -17,14 +18,18 @@
 //! statement list, plus in-body prefetch constructs — and returns one of:
 //!
 //! * [`ShardVerdict::Disjoint`]: no line is written by one block and touched
-//!   by a later block. The engine may fork/join without any dynamic
-//!   conflict log, and may shard even under cycle/step budgets (per-block
-//!   budget slicing is sound when blocks are independent).
+//!   by a later block. The engine forks/joins the blocks with no run-time
+//!   check, even under cycle/step budgets (per-block budget slicing is
+//!   sound when blocks are independent).
 //! * [`ShardVerdict::MayConflict`]: a concrete witness — the line and the
-//!   two references — where the footprints overlap. The dynamic check stays.
+//!   two references — where the footprints overlap. The engine runs this
+//!   epoch serially.
 //! * [`ShardVerdict::Unknown`]: some access cannot be bounded statically
 //!   (dynamic scheduling, non-constant DOALL bounds, a guarded reference);
-//!   conservative, the dynamic check stays.
+//!   conservative, the engine runs this epoch serially.
+//!
+//! Its run-time oracle is the test-only shard audit (`t3d-sim` feature
+//! `shard-audit`, exercised by `tests/shard_analysis.rs`).
 //!
 //! # Soundness direction
 //!
@@ -67,8 +72,8 @@ use ccdp_sections::{Section, SectionSet};
 
 use crate::access::ref_section_for_pe;
 
-/// The three-point verdict lattice (`Disjoint` ⊑ `MayConflict` ⊑ `Unknown`
-/// in the "how much dynamic machinery must stay" order).
+/// The three-point verdict lattice (`Disjoint` ⊑ `MayConflict` ⊑ `Unknown`,
+/// from proof to no information).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShardVerdict {
     /// Proven: no line written by one block is touched by a later block.

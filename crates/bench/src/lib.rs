@@ -12,7 +12,7 @@
 //! steady-state extrapolation after 3 sampled iterations); `Scale::Quick`
 //! runs ~1/4-linear-size instances for CI-speed shape checks.
 //!
-//! Environment knobs (`CCDP_SCALE`, `CCDP_SEED`, `CCDP_FORCE_TREEWALK`)
+//! Environment knobs (`CCDP_SCALE`, `CCDP_SEED`, `CCDP_SIM_THREADS`)
 //! are parsed through [`ccdp_core::EnvOverrides`] — the single parsing
 //! point — never ad hoc here.
 
@@ -300,22 +300,17 @@ impl CellTiming {
 }
 
 /// Aggregated epoch-sharding counters over a set of simulation runs: how
-/// many DOALL instances ran on the statically proven fast path (no shard
-/// log, no merge-time conflict scan), how many were dynamically checked,
-/// and how many fell back to the serial schedule. Feeds the `perf.shard`
-/// object of the report (schema v10).
+/// many DOALL instances were sharded on a static `Disjoint` proof and how
+/// many went to the serial schedule instead. Feeds the `perf.shard` object
+/// of the report (schema v11).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardAgg {
     /// Instances sharded on a static `Disjoint` proof.
     pub static_proven: u64,
-    /// Instances sharded optimistically with the dynamic conflict log.
-    pub dynamic_logged: u64,
-    /// Dynamically logged instances rejected at merge and rerun serially.
-    pub conflicts: u64,
     /// Proven budgeted instances whose sliced budget tripped in a worker.
     pub budget_reruns: u64,
     /// Instances that went straight to the serial schedule, all structured
-    /// reasons combined.
+    /// reasons combined (including every unproven instance).
     pub declined: u64,
 }
 
@@ -323,8 +318,6 @@ impl ShardAgg {
     /// Fold one run's shard statistics into the aggregate.
     pub fn absorb(&mut self, s: &t3d_sim::ShardStats) {
         self.static_proven += s.static_proven;
-        self.dynamic_logged += s.dynamic_logged;
-        self.conflicts += s.conflicts;
         self.budget_reruns += s.budget_reruns;
         self.declined += s.declined_treewalk
             + s.declined_few_pes
@@ -336,15 +329,8 @@ impl ShardAgg {
     /// Combine two aggregates.
     pub fn merge(&mut self, o: &ShardAgg) {
         self.static_proven += o.static_proven;
-        self.dynamic_logged += o.dynamic_logged;
-        self.conflicts += o.conflicts;
         self.budget_reruns += o.budget_reruns;
         self.declined += o.declined;
-    }
-
-    /// Merge-time conflict scans avoided by static proofs.
-    pub fn dynamic_checks_skipped(&self) -> u64 {
-        self.static_proven
     }
 }
 

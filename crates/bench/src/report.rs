@@ -67,7 +67,10 @@ use crate::{BenchKernel, GridTiming, Scale};
 /// shard-independence analysis, with CCDP006/CCDP007 findings in the
 /// existing findings lists. Additive; v9 consumers read v10 documents
 /// unchanged.
-pub const SCHEMA_VERSION: u32 = 10;
+/// v11: `perf.shard` drops `dynamic_logged`, `conflicts` and
+/// `dynamic_checks_skipped` — only proven epochs shard, so nothing is
+/// dynamically checked.
+pub const SCHEMA_VERSION: u32 = 11;
 
 /// How the committed report document read out as a perf-gate baseline.
 /// Produced by [`perf_baseline`]; the `perf_gate` bin turns these into
@@ -215,11 +218,8 @@ pub fn perf_json(names: &[&str], pes: &[usize], t: &GridTiming) -> Json {
             "shard",
             Json::obj([
                 ("static_proven", shard.static_proven.to_json()),
-                ("dynamic_logged", shard.dynamic_logged.to_json()),
-                ("conflicts", shard.conflicts.to_json()),
                 ("budget_reruns", shard.budget_reruns.to_json()),
                 ("declined", shard.declined.to_json()),
-                ("dynamic_checks_skipped", shard.dynamic_checks_skipped().to_json()),
             ]),
         ),
         ("seq", seq),
@@ -358,10 +358,21 @@ mod unit {
             Baseline::Wall { wall_seconds: 1.0, sim_threads: 1 }
         );
 
+        // The committed v10 baseline still reads: v11 only dropped
+        // `perf.shard` keys the gate never consulted.
+        let v10 = ccdp_json::parse(
+            r#"{"schema_version": 10, "perf": {"wall_seconds": 2.0, "sim_threads": 1}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            perf_baseline(&v10),
+            Baseline::Wall { wall_seconds: 2.0, sim_threads: 1 }
+        );
+
         // Newer-than-us must be a hard signal, not a silent comparison.
-        let v11 = ccdp_json::parse(r#"{"schema_version": 11, "perf": {"wall_seconds": 1.0}}"#)
+        let v12 = ccdp_json::parse(r#"{"schema_version": 12, "perf": {"wall_seconds": 1.0}}"#)
             .unwrap();
-        assert_eq!(perf_baseline(&v11), Baseline::NewerSchema(11));
+        assert_eq!(perf_baseline(&v12), Baseline::NewerSchema(12));
 
         // Service-only documents (no perf timing) skip, not error.
         let no_perf =
@@ -385,7 +396,7 @@ mod unit {
         ];
         let j =
             report_json(Scale::Quick, 9, &pes, &schemes, &kernels[..2], &grid, Some(&timing));
-        assert_eq!(j.get("schema_version").and_then(Json::as_u64), Some(10));
+        assert_eq!(j.get("schema_version").and_then(Json::as_u64), Some(11));
         assert_eq!(j.get("scale").and_then(Json::as_str), Some("quick"));
         assert_eq!(j.get("seed").and_then(Json::as_u64), Some(9));
         let schemes_json = j.get("schemes").unwrap().items();
@@ -435,18 +446,14 @@ mod unit {
         // v8: the engine configuration the wall numbers describe, plus the
         // attached scaling probe with derived speedup_vs_1.
         assert!(perf.get("sim_threads").and_then(Json::as_u64).unwrap() >= 1);
-        // v10: shard-path counters, with the derived skip count tied to the
-        // static-proof count.
-        let shard = perf.get("shard").expect("shard counters (schema v10)");
-        for key in
-            ["static_proven", "dynamic_logged", "conflicts", "budget_reruns", "declined"]
-        {
+        // v11: shard-path counters are proven instances plus declines.
+        let shard = perf.get("shard").expect("shard counters (schema v11)");
+        for key in ["static_proven", "budget_reruns", "declined"] {
             assert!(shard.get(key).and_then(Json::as_u64).is_some(), "missing shard.{key}");
         }
-        assert_eq!(
-            shard.get("dynamic_checks_skipped").and_then(Json::as_u64),
-            shard.get("static_proven").and_then(Json::as_u64),
-        );
+        for key in ["dynamic_logged", "conflicts", "dynamic_checks_skipped"] {
+            assert!(shard.get(key).is_none(), "shard.{key} was dropped in v11");
+        }
         let scaling = perf.get("scaling").expect("scaling probe rows").items();
         assert_eq!(scaling.len(), 2);
         assert_eq!(scaling[0].get("sim_threads").and_then(Json::as_u64), Some(1));
@@ -465,7 +472,7 @@ mod unit {
         assert_eq!(cell0.get("sim_cycles").and_then(Json::as_u64), Some(sum));
         // The whole document survives a print→parse round trip.
         let parsed = ccdp_json::parse(&j.to_pretty()).unwrap();
-        assert_eq!(parsed.get("schema_version").and_then(Json::as_u64), Some(10));
+        assert_eq!(parsed.get("schema_version").and_then(Json::as_u64), Some(11));
         // Omitting timing omits the section (ablation callers).
         let j2 = report_json(Scale::Quick, 9, &pes, &schemes, &kernels[..2], &grid, None);
         assert!(j2.get("perf").is_none());

@@ -1,12 +1,10 @@
 //! Environment-variable overrides, parsed in exactly one place.
 //!
-//! Three env knobs steer the pipeline and the benchmark harness:
+//! These env knobs steer the pipeline, the benchmark harness and ccdpd:
 //!
 //! | variable                | effect                                         |
 //! |-------------------------|------------------------------------------------|
-//! | `CCDP_FORCE_TREEWALK`   | `1` forces the treewalk interpreter            |
 //! | `CCDP_SIM_THREADS`      | worker threads for intra-run PE sharding       |
-//! | `CCDP_SHARD_STATIC`     | `0` ignores static shard-disjointness proofs   |
 //! | `CCDP_SEED`             | decision-stream seed for fault-injecting runs  |
 //! | `CCDP_SCALE`            | benchmark problem size: `quick` (default) or `paper` |
 //! | `CCDP_BENCH_QUICK`      | `1` shrinks the vendored-criterion measurement budget |
@@ -14,9 +12,9 @@
 //! | `CCDP_SERVE_WORKERS`    | default worker-process count for ccdpd         |
 //! | `CCDP_COMPACT_BYTES`    | journal compaction threshold for ccdpd (0 = off) |
 //!
-//! Historically each consumer read its variable ad hoc (the simulator read
-//! `CCDP_FORCE_TREEWALK` directly, each bench bin parsed `CCDP_SEED` /
-//! `CCDP_SCALE` itself), so a typo could silently select the wrong mode.
+//! Historically each consumer read its variable ad hoc (each bench bin
+//! parsed `CCDP_SEED` / `CCDP_SCALE` itself), so a typo could silently
+//! select the wrong mode.
 //! [`EnvOverrides::from_env`] is now the single parsing point: every bad
 //! value is a structured [`PipelineError::InvalidConfig`] carrying the
 //! variable name, the offending value, and what was expected — and
@@ -41,19 +39,10 @@ pub enum ScalePreset {
 /// [`EnvOverrides::from_env`]; `Default` is "no variable set".
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct EnvOverrides {
-    /// `CCDP_FORCE_TREEWALK=1`: run the treewalk interpreter instead of the
-    /// compiled-trace path (the reference semantics both paths must match).
-    pub force_treewalk: bool,
     /// `CCDP_SIM_THREADS=<n>`: worker threads for the simulator's
     /// epoch-sharded parallel path (`SimOptions::sim_threads`). `None`
     /// when unset (the simulator default — serial — applies).
     pub sim_threads: Option<usize>,
-    /// `CCDP_SHARD_STATIC=0|1`: whether the sharded engine consults the
-    /// static shard-independence analysis (`SimOptions::shard_static`).
-    /// `0` forces the dynamic conflict-log path for every sharded epoch
-    /// (byte-identical results, no fast path); `1` is the simulator
-    /// default. `None` when unset.
-    pub shard_static: Option<bool>,
     /// `CCDP_SEED=<u64>`: deterministic seed for fault-injecting harness
     /// runs. `None` when unset (callers pick their own default).
     pub seed: Option<u64>,
@@ -81,15 +70,6 @@ impl EnvOverrides {
     /// silently select a default.
     pub fn from_env() -> Result<EnvOverrides, PipelineError> {
         let mut o = EnvOverrides::default();
-        if let Ok(v) = std::env::var("CCDP_FORCE_TREEWALK") {
-            o.force_treewalk = match v.as_str() {
-                "" | "0" => false,
-                "1" => true,
-                _ => {
-                    return Err(bad_env("CCDP_FORCE_TREEWALK", v, "expected \"0\" or \"1\""))
-                }
-            };
-        }
         if let Ok(v) = std::env::var("CCDP_SIM_THREADS") {
             let n = v
                 .parse::<usize>()
@@ -99,13 +79,6 @@ impl EnvOverrides {
                     bad_env("CCDP_SIM_THREADS", v, "expected a positive integer")
                 })?;
             o.sim_threads = Some(n);
-        }
-        if let Ok(v) = std::env::var("CCDP_SHARD_STATIC") {
-            o.shard_static = match v.as_str() {
-                "" | "0" => Some(false),
-                "1" => Some(true),
-                _ => return Err(bad_env("CCDP_SHARD_STATIC", v, "expected \"0\" or \"1\"")),
-            };
         }
         if let Ok(v) = std::env::var("CCDP_SEED") {
             o.seed = Some(
@@ -159,18 +132,13 @@ impl EnvOverrides {
         Ok(o)
     }
 
-    /// Apply the overrides to a pipeline configuration. Only widening:
-    /// `force_treewalk` already set programmatically is never cleared, and
-    /// `sim_threads` only overwrites when the variable was actually set.
-    /// (`seed` and `scale` configure the *harness*, not the pipeline, so
-    /// they are consumed by the bench crate instead.)
+    /// Apply the overrides to a pipeline configuration: `sim_threads`
+    /// overwrites only when the variable was actually set. (The other
+    /// variables configure the *harness* or the service, not the pipeline,
+    /// so their consumers read them from the parsed overrides.)
     pub fn apply(&self, cfg: &mut PipelineConfig) {
-        cfg.sim.force_treewalk |= self.force_treewalk;
         if let Some(t) = self.sim_threads {
             cfg.sim.sim_threads = t;
-        }
-        if let Some(s) = self.shard_static {
-            cfg.sim.shard_static = s;
         }
     }
 }
@@ -212,10 +180,8 @@ mod unit {
         out
     }
 
-    const ALL_UNSET: [(&str, Option<&str>); 9] = [
-        ("CCDP_FORCE_TREEWALK", None),
+    const ALL_UNSET: [(&str, Option<&str>); 7] = [
         ("CCDP_SIM_THREADS", None),
-        ("CCDP_SHARD_STATIC", None),
         ("CCDP_SEED", None),
         ("CCDP_SCALE", None),
         ("CCDP_BENCH_QUICK", None),
@@ -228,9 +194,7 @@ mod unit {
     fn unset_environment_is_the_default() {
         let o = with_vars(&ALL_UNSET, EnvOverrides::from_env).unwrap();
         assert_eq!(o, EnvOverrides::default());
-        assert!(!o.force_treewalk);
         assert_eq!(o.sim_threads, None);
-        assert_eq!(o.shard_static, None);
         assert_eq!(o.seed, None);
         assert_eq!(o.scale, ScalePreset::Quick);
         assert!(!o.bench_quick);
@@ -243,9 +207,7 @@ mod unit {
     fn valid_values_parse() {
         let o = with_vars(
             &[
-                ("CCDP_FORCE_TREEWALK", Some("1")),
                 ("CCDP_SIM_THREADS", Some("4")),
-                ("CCDP_SHARD_STATIC", Some("0")),
                 ("CCDP_SEED", Some("42")),
                 ("CCDP_SCALE", Some("paper")),
                 ("CCDP_BENCH_QUICK", Some("1")),
@@ -256,9 +218,7 @@ mod unit {
             EnvOverrides::from_env,
         )
         .unwrap();
-        assert!(o.force_treewalk);
         assert_eq!(o.sim_threads, Some(4));
-        assert_eq!(o.shard_static, Some(false));
         assert_eq!(o.seed, Some(42));
         assert_eq!(o.scale, ScalePreset::Paper);
         assert!(o.bench_quick);
@@ -270,12 +230,9 @@ mod unit {
     #[test]
     fn bad_values_are_structured_errors_naming_the_variable() {
         for (var, value) in [
-            ("CCDP_FORCE_TREEWALK", "yes"),
             ("CCDP_SIM_THREADS", "0"),
             ("CCDP_SIM_THREADS", "banana"),
             ("CCDP_SIM_THREADS", "-1"),
-            ("CCDP_SHARD_STATIC", "yes"),
-            ("CCDP_SHARD_STATIC", "2"),
             ("CCDP_SEED", "banana"),
             ("CCDP_SCALE", "fast"),
             ("CCDP_BENCH_QUICK", "true"),
@@ -304,16 +261,6 @@ mod unit {
     }
 
     #[test]
-    fn apply_widens_force_treewalk_only() {
-        let mut cfg = PipelineConfig::t3d(2);
-        EnvOverrides { force_treewalk: true, ..Default::default() }.apply(&mut cfg);
-        assert!(cfg.sim.force_treewalk);
-        // Never cleared by an unset env.
-        EnvOverrides::default().apply(&mut cfg);
-        assert!(cfg.sim.force_treewalk);
-    }
-
-    #[test]
     fn apply_sets_sim_threads_only_when_the_variable_was_set() {
         let mut cfg = PipelineConfig::t3d(2);
         cfg.sim.sim_threads = 3;
@@ -321,17 +268,5 @@ mod unit {
         assert_eq!(cfg.sim.sim_threads, 3, "unset env leaves the knob alone");
         EnvOverrides { sim_threads: Some(4), ..Default::default() }.apply(&mut cfg);
         assert_eq!(cfg.sim.sim_threads, 4);
-    }
-
-    #[test]
-    fn apply_sets_shard_static_only_when_the_variable_was_set() {
-        let mut cfg = PipelineConfig::t3d(2);
-        assert!(cfg.sim.shard_static, "simulator default is on");
-        EnvOverrides::default().apply(&mut cfg);
-        assert!(cfg.sim.shard_static, "unset env leaves the knob alone");
-        EnvOverrides { shard_static: Some(false), ..Default::default() }.apply(&mut cfg);
-        assert!(!cfg.sim.shard_static);
-        EnvOverrides { shard_static: Some(true), ..Default::default() }.apply(&mut cfg);
-        assert!(cfg.sim.shard_static);
     }
 }

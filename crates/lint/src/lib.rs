@@ -35,8 +35,8 @@
 //! CCDP006/007 come from [`verify_sharding`] — the static shard-independence
 //! audit (`analysis::shard`) — not from [`verify`]: they are warnings, not
 //! soundness errors, because a non-`Disjoint` epoch still executes correctly
-//! (the simulator keeps its dynamic conflict log); it merely cannot take the
-//! proven log-free fork/join fast path.
+//! (the simulator runs this epoch serially); it merely cannot be sharded
+//! across threads.
 //!
 //! Known precision limits (documented, not bugs): CCDP003 only examines
 //! writes with exact per-PE sections (PE-specific, no wrapper-loop variable,
@@ -535,9 +535,9 @@ impl ShardCounts {
 /// stable diagnostics — CCDP006 `shard-conflict` with the concrete witness
 /// (cache line + the writing and touching references), CCDP007
 /// `shard-unknown` with the blocking reference or loop. Both are
-/// **warnings**: a non-`Disjoint` epoch still executes correctly under the
-/// dynamic conflict log, it just cannot take the proven log-free fast path,
-/// so `LintReport::is_sound` is unaffected.
+/// **warnings**: a non-`Disjoint` epoch still executes correctly — the
+/// sharded engine runs this epoch serially — so `LintReport::is_sound` is
+/// unaffected.
 ///
 /// Findings are deterministic: epochs in schedule order, first occurrence
 /// per epoch id, witness = smallest conflicting line of the first
@@ -588,7 +588,7 @@ pub fn verify_sharding(
                     message: format!(
                         "PE blocks {} and {} may share cache line {} of `{}`: \
                          the earlier block writes it, the later block touches \
-                         it; the sharded engine keeps its dynamic conflict log",
+                         it; the sharded engine runs this epoch serially",
                         w.blocks.0,
                         w.blocks.1,
                         w.line,
@@ -609,7 +609,7 @@ pub fn verify_sharding(
                         .unwrap_or_else(|| format!("doall #{}", dv.doall.index())),
                     message: format!(
                         "shard footprints cannot be statically bounded: {}; \
-                         the sharded engine keeps its dynamic conflict log",
+                         the sharded engine runs this epoch serially",
                         b.describe()
                     ),
                 });

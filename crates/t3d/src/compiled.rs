@@ -33,9 +33,9 @@
 //! tree walker: both paths share the same memory-operation helpers
 //! (`cached_read`, `base_read`, `bypass_read`, `write_shared_addr`) and
 //! charge at the same points in the same order wherever the PE clock is
-//! observable. `SimOptions::force_treewalk` (set from `CCDP_FORCE_TREEWALK=1`
-//! by `ccdp_core::EnvOverrides`) keeps the tree walker as a reference path;
-//! the `compiled_equivalence` property test pins the two paths together.
+//! observable. `SimOptions::force_treewalk` keeps the tree walker as a
+//! reference path; the `compiled_equivalence` property test pins the two
+//! paths together.
 
 use ccdp_ir::{
     Affine, ArrayId, ArrayRef, Assign, Cond, Loop, PrefetchStmt, Program, RefId, Stmt, ValExpr,

@@ -25,10 +25,8 @@ pub enum ConfigError {
     BadFaultRate { field: &'static str, value: f64 },
     /// A fault-plan burst/multiplier parameter is out of range.
     BadFaultParam { field: &'static str, value: u64, need: &'static str },
-    /// An environment override variable holds an unparsable value
-    /// (`CCDP_FORCE_TREEWALK` / `CCDP_SEED` / `CCDP_SCALE` /
-    /// `CCDP_SIM_THREADS` / `CCDP_SHARD_STATIC`; see the core crate's
-    /// `EnvOverrides`).
+    /// An environment override variable holds an unparsable value (see
+    /// the core crate's `EnvOverrides` for the variables).
     BadEnv { var: &'static str, value: String, need: &'static str },
 }
 
@@ -292,8 +290,9 @@ impl Scheme {
     }
 }
 
-/// Simulation options.
-#[derive(Clone, Copy, Debug)]
+/// Simulation options. The default runs serially, unbudgeted, untraced and
+/// fault-free ([`FaultPlan::none`]).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SimOptions {
     /// When `Some(k)`, a `Repeat { count }` block with `count > k` runs only
     /// `k` iterations and extrapolates total cycles from the steady-state
@@ -310,10 +309,9 @@ pub struct SimOptions {
     /// may only move cycles, never values — see the `faults` module.
     pub faults: FaultPlan,
     /// Run loops through the reference tree-walking interpreter instead of
-    /// the compiled trace (also settable via `CCDP_FORCE_TREEWALK=1`). The
-    /// two paths are byte-identical by contract — this exists so the
-    /// equivalence test and debugging sessions can pin them against each
-    /// other.
+    /// the compiled trace. The two paths are byte-identical by contract —
+    /// this exists so the equivalence, resilience and dispatch suites can
+    /// pin them against each other.
     pub force_treewalk: bool,
     /// Abort the run once any PE's cycle counter exceeds this many cycles
     /// ([`SimAbort::BudgetExceeded`]). `None` (the default) = unlimited.
@@ -335,36 +333,10 @@ pub struct SimOptions {
     /// contiguous PE blocks simulated concurrently and merged
     /// deterministically at the barrier — byte-identical to the serial run
     /// by contract (`tests/parallel_equivalence.rs`). Hardware schemes
-    /// (MESI/Dragon) and wall-deadline runs always take the serial path;
-    /// cycle/step-budgeted runs shard only when the epoch is statically
-    /// proven disjoint (see [`SimOptions::shard_static`]).
+    /// (MESI/Dragon) and wall-deadline runs always take the serial path, and
+    /// so does every epoch the static shard-independence analysis
+    /// (`analysis::shard`) does not prove `Disjoint`.
     pub sim_threads: usize,
-    /// Consult the static shard-independence analysis (`analysis::shard`)
-    /// before sharding a DOALL (also settable via `CCDP_SHARD_STATIC=0|1`).
-    /// A statically proven-disjoint epoch skips the per-block access log
-    /// and the merge-time conflict scan entirely (pure fork/join), and
-    /// becomes eligible for sharding even under cycle/step budgets via
-    /// per-block budget slicing. `false` forces the dynamic conflict-log
-    /// path for every sharded epoch (the verdict is ignored); results are
-    /// byte-identical either way. Default `true`.
-    pub shard_static: bool,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions {
-            repeat_sample: None,
-            oracle_examples: 0,
-            trace_capacity: 0,
-            faults: FaultPlan::none(),
-            force_treewalk: false,
-            cycle_budget: None,
-            step_budget: None,
-            wall_deadline: None,
-            sim_threads: 0,
-            shard_static: true,
-        }
-    }
 }
 
 /// Why a simulation was aborted before completion. Returned by

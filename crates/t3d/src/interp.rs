@@ -90,8 +90,7 @@ pub struct Simulator<'p> {
     /// state allocates nothing.
     frames: Vec<Vec<SlotState>>,
     /// Run loops through the reference tree walker instead of the compiled
-    /// trace (`SimOptions::force_treewalk`; `ccdp_core::EnvOverrides` sets
-    /// it from `CCDP_FORCE_TREEWALK=1`).
+    /// trace (`SimOptions::force_treewalk`).
     treewalk: bool,
     /// Interpreter steps executed (loop iterations across all PEs and both
     /// execution paths). Drives `SimOptions::step_budget` and paces the
@@ -103,11 +102,11 @@ pub struct Simulator<'p> {
     /// Any budget or deadline configured (precomputed so the fault-free,
     /// budget-free hot path pays one predictable branch per iteration).
     budgeted: bool,
-    /// Shared-memory access log, present only inside epoch-shard workers:
-    /// the cache lines this PE block touched and wrote, consumed by the
-    /// cross-block conflict check and the deferred owner-cache patches at
-    /// the merge barrier. `None` (always, outside workers) keeps the serial
-    /// path at one predictable branch per shared access.
+    /// Shared-memory write log, present only inside epoch-shard workers:
+    /// the word addresses this PE block wrote, consumed by the merge's
+    /// final-state copy and the deferred owner-cache patches at the
+    /// barrier. `None` (always, outside workers) keeps the serial path at
+    /// one predictable branch per shared write.
     shard: Option<ShardLog>,
     /// Cached static shard-independence verdicts (`analysis::shard`), one
     /// per DOALL loop id: `true` = proven `Disjoint` at one-PE-per-block
@@ -115,34 +114,19 @@ pub struct Simulator<'p> {
     shard_verdicts: HashMap<LoopId, bool>,
     /// Epoch-sharding accounting, returned on `SimResult::shard`.
     shard_stats: ShardStats,
+    /// Line recorder armed by [`Simulator::run_shard_audit`] (test builds
+    /// only).
+    #[cfg(feature = "shard-audit")]
+    audit: Option<audit::Recorder>,
 }
 
-/// Per-block shared-memory access log for the epoch-sharded parallel path.
-///
-/// `written_addrs` keeps exact word addresses so the merge can copy each
-/// written word's final (value, version) pair and patch out-of-block owner
-/// caches; it is collected unconditionally. The line-granular [`LineLog`]
-/// exists only on the *dynamic* path — when the epoch was statically proven
-/// disjoint (`analysis::shard`), the merge-time conflict scan is skipped,
-/// so nothing needs logging.
+/// Per-block write log for the epoch-sharded parallel path: exact word
+/// addresses, so the merge can copy each written word's final (value,
+/// version) pair and patch out-of-block owner caches.
 struct ShardLog {
     lo_pe: usize,
     hi_pe: usize,
-    line_words: u64,
-    lines: Option<LineLog>,
     written_addrs: HashSet<usize>,
-}
-
-/// Line-granular access log consumed by the merge-time conflict scan.
-///
-/// Conflict granularity is the cache **line**: demand fills and prefetches
-/// move whole lines, so any cross-block write/read interaction surfaces as
-/// a line-set intersection. `written_lines ⊆ touched_lines` by
-/// construction.
-#[derive(Default)]
-struct LineLog {
-    touched_lines: HashSet<u64>,
-    written_lines: HashSet<u64>,
 }
 
 impl ShardLog {
@@ -182,13 +166,10 @@ struct BlockSeed<'p> {
     trace_on: bool,
     lo_pe: usize,
     hi_pe: usize,
-    /// Keep the line-granular access log for the merge-time conflict scan
-    /// (`false` when the epoch is statically proven disjoint).
-    log_lines: bool,
 }
 
 /// A shard worker's results: final PE/memory/fault state for its block plus
-/// the access log the merge needs.
+/// the write log the merge needs.
 struct BlockOut {
     lo_pe: usize,
     hi_pe: usize,
@@ -203,18 +184,16 @@ struct BlockOut {
     /// discards all block state and reruns serially to reproduce the exact
     /// serial abort).
     abort: Option<SimAbort>,
-    lines: Option<LineLog>,
     written_addrs: HashSet<usize>,
 }
 
 /// Simulate one contiguous PE block of a static DOALL in isolation, on a
 /// clone of the pre-epoch machine state. Intra-block PEs run in ascending
 /// order on the worker's own memory image — literally the serial schedule
-/// restricted to the block — so a merge that detects no cross-block line
-/// intersection reproduces the serial run byte for byte.
+/// restricted to the block — so when the blocks are proven line-disjoint
+/// the merge reproduces the serial run byte for byte.
 fn run_block<'p>(seed: BlockSeed<'p>) -> BlockOut {
     let n_pes = seed.cfg.n_pes;
-    let line_words = seed.cfg.line_words as u64;
     let backend = Some(backend_for(&seed.scheme, n_pes));
     // `EventTrace::new` allocates lazily, so an effectively unbounded
     // capacity costs nothing when few events arrive; the worker must never
@@ -260,12 +239,12 @@ fn run_block<'p>(seed: BlockSeed<'p>) -> BlockOut {
         shard: Some(ShardLog {
             lo_pe: seed.lo_pe,
             hi_pe: seed.hi_pe,
-            line_words,
-            lines: seed.log_lines.then(LineLog::default),
             written_addrs: HashSet::new(),
         }),
         shard_verdicts: HashMap::new(),
         shard_stats: ShardStats::default(),
+        #[cfg(feature = "shard-audit")]
+        audit: None,
     };
     let l = seed.l;
     let cb = sim.compiled_body(l);
@@ -300,7 +279,6 @@ fn run_block<'p>(seed: BlockSeed<'p>) -> BlockOut {
         trace: sim.trace,
         steps: sim.steps,
         abort: sim.abort,
-        lines: shard.lines,
         written_addrs: shard.written_addrs,
     }
 }
@@ -343,9 +321,6 @@ impl<'p> Simulator<'p> {
         let faults =
             (!opts.faults.is_none()).then(|| FaultEngine::new(opts.faults, cfg.n_pes));
         let backend = Some(backend_for(&scheme, cfg.n_pes));
-        // `CCDP_FORCE_TREEWALK` is no longer read here: the core crate's
-        // `EnvOverrides` parses it (with validation) into
-        // `SimOptions::force_treewalk`.
         let treewalk = opts.force_treewalk;
         let budgeted = opts.cycle_budget.is_some()
             || opts.step_budget.is_some()
@@ -384,6 +359,8 @@ impl<'p> Simulator<'p> {
             shard: None,
             shard_verdicts: HashMap::new(),
             shard_stats: ShardStats::default(),
+            #[cfg(feature = "shard-audit")]
+            audit: None,
         }
     }
 
@@ -402,13 +379,33 @@ impl<'p> Simulator<'p> {
     /// iteration, so a runaway program terminates promptly; the partially
     /// simulated state is discarded.
     pub fn try_run(mut self) -> Result<SimResult, SimAbort> {
+        self.execute()?;
+        Ok(self.into_result())
+    }
+
+    /// Run serially with the shard line recorder armed, returning the
+    /// result together with the audit of every static-DOALL instance (see
+    /// [`ShardAudit`]). Forces `sim_threads` to serial: the recorder hooks
+    /// the serial schedule, where every PE runs on the shared machine
+    /// state.
+    #[cfg(feature = "shard-audit")]
+    pub fn run_shard_audit(mut self) -> Result<(SimResult, ShardAudit), SimAbort> {
+        self.opts.sim_threads = 0;
+        self.audit = Some(audit::Recorder::new(self.cfg.n_pes, self.cfg.line_words));
+        self.execute()?;
+        let audit = self.audit.take().expect("audit armed above").audit;
+        Ok((self.into_result(), audit))
+    }
+
+    fn execute(&mut self) -> Result<(), SimAbort> {
         let items = self.program.items.as_slice();
         self.exec_items(items);
-        if let Some(a) = self.abort.take() {
-            return Err(a);
-        }
+        self.abort.take().map_or(Ok(()), Err)
+    }
+
+    fn into_result(self) -> SimResult {
         let cycles = self.global_now();
-        Ok(SimResult {
+        SimResult {
             scheme: self.scheme.name(),
             cycles,
             per_pe: self.pes.iter().map(|p| p.stats).collect(),
@@ -419,7 +416,7 @@ impl<'p> Simulator<'p> {
             epochs: self.epochs,
             trace: self.trace,
             shard: self.shard_stats,
-        })
+        }
     }
 
     // -- run budgets -------------------------------------------------------
@@ -519,32 +516,27 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    // -- epoch-shard access logging ----------------------------------------
+    // -- shared-access hooks -----------------------------------------------
 
-    /// Log a shared-memory read/fill of `addr`'s line (shard workers only;
-    /// a no-op — one predictable branch — on the serial path).
+    /// `pe` read, filled, prefetched or (`_write`) wrote `addr`'s line: an
+    /// armed shard audit records it. Compiles to nothing without the
+    /// `shard-audit` feature.
     #[inline]
-    fn shard_touch(&mut self, addr: usize) {
-        if let Some(s) = self.shard.as_mut() {
-            if let Some(ll) = s.lines.as_mut() {
-                ll.touched_lines.insert(addr as u64 / s.line_words);
-            }
+    fn audit_touch(&mut self, _pe: usize, _addr: usize, _write: bool) {
+        #[cfg(feature = "shard-audit")]
+        if let Some(a) = self.audit.as_mut() {
+            a.touch(_pe, _addr, _write);
         }
     }
 
-    /// Log a shared-memory write of `addr` (shard workers only): the line
-    /// counts as touched *and* written, and the exact word address is kept
-    /// for the merge's final-state copy and owner-cache patches.
+    /// `pe` wrote the shared word `addr`. Shard workers keep the exact
+    /// address for the merge's final-state copy and owner-cache patches.
     #[inline]
-    fn shard_note_write(&mut self, addr: usize) {
+    fn note_write(&mut self, pe: usize, addr: usize) {
         if let Some(s) = self.shard.as_mut() {
-            if let Some(ll) = s.lines.as_mut() {
-                let line = addr as u64 / s.line_words;
-                ll.touched_lines.insert(line);
-                ll.written_lines.insert(line);
-            }
             s.written_addrs.insert(addr);
         }
+        self.audit_touch(pe, addr, true);
     }
 
     /// Accounting slot for a source epoch (created on first execution).
@@ -758,7 +750,7 @@ impl<'p> Simulator<'p> {
 
     /// The serial schedule of a static DOALL: PEs execute their ranges one
     /// after another, in ascending order, on the shared machine state. Also
-    /// the fallback when the sharded path declines or detects a conflict.
+    /// the path of every instance the sharded engine declines.
     fn exec_doall_static_serial(
         &mut self,
         l: &'p Loop,
@@ -767,6 +759,10 @@ impl<'p> Simulator<'p> {
         per_iter: u64,
         cb: Option<&CompiledBody<'p>>,
     ) {
+        #[cfg(feature = "shard-audit")]
+        if let Some(a) = self.audit.as_mut() {
+            a.current = Some(l.id);
+        }
         for pe in 0..self.cfg.n_pes {
             if self.abort.is_some() {
                 break;
@@ -786,23 +782,26 @@ impl<'p> Simulator<'p> {
                 self.run_doall_range(pe, l, r.lo, r.hi, per_iter, cb);
             }
         }
+        #[cfg(feature = "shard-audit")]
+        if let Some(a) = self.audit.as_mut() {
+            a.end();
+        }
     }
 
-    /// Shard a static DOALL's PE blocks across `SimOptions::sim_threads`
-    /// workers. Returns `false` — leaving the master state untouched, so
-    /// the caller reruns the epoch serially — when this run is ineligible
-    /// or when the optimistic parallel run detected a cross-block memory
-    /// dependence.
+    /// Shard a statically proven-disjoint DOALL's PE blocks across
+    /// `SimOptions::sim_threads` workers. Returns `false` — leaving the
+    /// master state untouched, so the caller runs the epoch serially — when
+    /// this run is ineligible, when `analysis::shard` does not prove the
+    /// loop `Disjoint`, or when a sliced budget tripped in a worker.
     ///
     /// Soundness (full argument in DESIGN §15): each worker simulates one
     /// contiguous PE block, in PE order, on a clone of the pre-epoch state
     /// — exactly the serial schedule restricted to its block. The merge is
     /// byte-identical to the serial run unless some earlier block *wrote* a
     /// cache line a later block *touched* (the later block should have seen
-    /// that write; it saw the snapshot instead). That is precisely the
-    /// conflict predicate checked below; on a hit, all worker state is
-    /// discarded and the serial path re-executes from the untouched master
-    /// state, so the fallback is exact, deterministic, and repeatable.
+    /// that write; it saw the snapshot instead). The `Disjoint` proof rules
+    /// that out for every contiguous partition, so nothing is checked at
+    /// run time.
     fn exec_doall_static_sharded(&mut self, l: &'p Loop, lo: i64, hi: i64, per_iter: u64) -> bool {
         if self.opts.sim_threads <= 1 {
             return false;
@@ -829,14 +828,8 @@ impl<'p> Simulator<'p> {
             return false;
         }
         // Static shard-independence verdict (`analysis::shard`, cached per
-        // loop). `Disjoint` ⇒ the workers skip the line-granular access
-        // log and the merge below skips the conflict scan (pure
-        // fork/join); it also makes cycle/step-budgeted runs eligible, via
-        // per-block budget slicing — sound only when blocks are proven
-        // independent, because a conflict rerun under a sliced budget
-        // could otherwise abort at a non-serial point.
-        let disjoint = self.opts.shard_static && self.loop_disjoint(l);
-        if self.budgeted && !disjoint {
+        // loop). Without a `Disjoint` proof the epoch runs serially.
+        if !self.loop_disjoint(l) {
             self.shard_stats.declined_budget_unproven += 1;
             return false;
         }
@@ -887,7 +880,6 @@ impl<'p> Simulator<'p> {
                 trace_on: self.trace.enabled(),
                 lo_pe,
                 hi_pe,
-                log_lines: !disjoint,
             });
         }
         let mut outs: Vec<BlockOut> = Vec::with_capacity(t);
@@ -919,32 +911,10 @@ impl<'p> Simulator<'p> {
                 return false;
             }
         }
-        if disjoint {
-            // Statically proven: no log was kept, no scan needed.
-            self.shard_stats.static_proven += 1;
-        } else {
-            self.shard_stats.dynamic_logged += 1;
-            // Conflict predicate: an earlier block wrote a line a later
-            // block touched. (The other direction is fine — serially the
-            // later block runs after the earlier one, and it saw the same
-            // pre-write data.)
-            let mut written: HashSet<u64> = HashSet::new();
-            for out in &outs {
-                let ll = out.lines.as_ref().expect("dynamic path keeps the line log");
-                if ll.touched_lines.iter().any(|la| written.contains(la)) {
-                    self.shard_stats.conflicts += 1;
-                    if !self.shard_stats.conflict_loops.contains(&l.id) {
-                        self.shard_stats.conflict_loops.push(l.id);
-                    }
-                    return false;
-                }
-                written.extend(ll.written_lines.iter().copied());
-            }
-        }
+        self.shard_stats.static_proven += 1;
         // Merge, in block order. Per-word final states are disjoint across
-        // blocks (proven statically, or by the conflict scan just run), so
-        // everything below is order-independent per address and
-        // deterministic.
+        // blocks (proven statically), so everything below is
+        // order-independent per address and deterministic.
         for out in outs.iter_mut() {
             for pe in out.lo_pe..out.hi_pe {
                 std::mem::swap(&mut self.pes[pe], &mut out.pes[pe]);
@@ -975,8 +945,8 @@ impl<'p> Simulator<'p> {
         // the word's final state. `update_word` is a residency-checked
         // no-op, and any interleaving that could make final-state patching
         // diverge from the serial patch sequence implies the owner's block
-        // touched the written line — rejected by the dynamic scan above,
-        // or impossible by the static disjointness proof.
+        // touched the written line — impossible by the static disjointness
+        // proof.
         for out in &outs {
             for &addr in &out.written_addrs {
                 let owner = self.mem.owner(addr);
@@ -1560,7 +1530,7 @@ impl<'p> Simulator<'p> {
     /// BASE-scheme shared read. `craft` is the array's CRAFT local-access
     /// overhead. Shared by the tree walker and the compiled trace.
     pub(crate) fn base_read(&mut self, pe: usize, rid: RefId, addr: usize, craft: u64) -> f64 {
-        self.shard_touch(addr);
+        self.audit_touch(pe, addr, false);
         let local = self.mem.owner(addr) == pe;
         if local {
             // The T3D caches all local memory; CRAFT pays only the
@@ -1583,7 +1553,7 @@ impl<'p> Simulator<'p> {
     /// CCDP `Bypass` read: always reads main memory, never the cache.
     /// Shared by the tree walker and the compiled trace.
     pub(crate) fn bypass_read(&mut self, pe: usize, addr: usize) -> f64 {
-        self.shard_touch(addr);
+        self.audit_touch(pe, addr, false);
         let local = self.mem.owner(addr) == pe;
         let lat = if local { self.cfg.local_uncached } else { self.cfg.remote_uncached };
         self.charge(pe, CycleCategory::BypassRead, lat);
@@ -1598,7 +1568,7 @@ impl<'p> Simulator<'p> {
         // Touched even on a cache hit: the hit path's oracle check reads
         // the word's *current* memory version, so a hit on a line another
         // block is writing is a real cross-block interaction.
-        self.shard_touch(addr);
+        self.audit_touch(pe, addr, false);
         let phase = self.phase;
         if h == Handling::Fresh {
             self.pes[pe].stats.fresh_reads += 1;
@@ -1832,7 +1802,7 @@ impl<'p> Simulator<'p> {
     /// overhead (consulted only under the BASE scheme). Shared by the tree
     /// walker and the compiled trace.
     pub(crate) fn write_shared_addr(&mut self, pe: usize, addr: usize, craft_local: u64, v: f64) {
-        self.shard_note_write(addr);
+        self.note_write(pe, addr);
         let owner = self.mem.owner(addr);
         let local = owner == pe;
         let ver = self.mem.write_shared(addr, v);
@@ -1944,7 +1914,7 @@ impl<'p> Simulator<'p> {
             self.trace_event(pe, TraceEventKind::PrefetchDropped, addr);
             return;
         }
-        self.shard_touch(addr);
+        self.audit_touch(pe, addr, false);
         let line_base = self.pes[pe].cache.line_base(addr);
         let shared_words = self.mem.shared_words();
         {
@@ -2112,7 +2082,7 @@ impl<'p> Simulator<'p> {
         );
         for &la in &line_addrs {
             let line_base = la * lw;
-            self.shard_touch(line_base);
+            self.audit_touch(pe, line_base, false);
             let mem = &self.mem;
             let words_iter = (0..lw).map(|k| {
                 let a = line_base + k;
@@ -2265,6 +2235,11 @@ fn index_stmts(
         }
     }
 }
+
+#[cfg(feature = "shard-audit")]
+mod audit;
+#[cfg(feature = "shard-audit")]
+pub use audit::{AuditConflict, ShardAudit};
 
 #[cfg(test)]
 mod tests;

@@ -75,6 +75,8 @@ pub use coherence::CoherenceBackend;
 pub use config::{ConfigError, MachineConfig, Scheme, SimAbort, SimOptions};
 pub use faults::{FaultPlan, FaultStats};
 pub use interp::Simulator;
+#[cfg(feature = "shard-audit")]
+pub use interp::{AuditConflict, ShardAudit};
 pub use mem::Memory;
 pub use metrics::{
     CycleBreakdown, CycleCategory, EpochCycles, EventTrace, MemEvent, PrefetchQuality,

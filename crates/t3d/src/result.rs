@@ -1,6 +1,6 @@
 //! Simulation results and the coherence oracle report.
 
-use ccdp_ir::{ArrayId, LoopId, Program, RefId};
+use ccdp_ir::{ArrayId, Program, RefId};
 
 use crate::faults::FaultStats;
 use crate::mem::Memory;
@@ -40,14 +40,17 @@ impl OracleReport {
 /// between serial and sharded runs is unaffected by how runs were sharded.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// DOALL instances sharded on a static `Disjoint` proof: no per-block
-    /// access log was kept and the merge-time conflict scan was skipped.
+    /// DOALL instances sharded on a static `Disjoint` proof and merged at
+    /// the barrier. Only proven epochs shard; every other instance runs on
+    /// the serial schedule.
     pub static_proven: u64,
-    /// DOALL instances sharded optimistically with the dynamic conflict log
-    /// (verdict `MayConflict`/`Unknown`, or `shard_static` off).
+    /// Always 0. The optimistic path that sharded unproven epochs under a
+    /// dynamic conflict log is gone (it re-ran nearly every instance
+    /// serially anyway); the field stays because benchmark harnesses
+    /// outside this workspace read it.
     pub dynamic_logged: u64,
-    /// Dynamically logged instances the merge-time scan rejected (all block
-    /// state discarded, epoch rerun serially).
+    /// Always 0, for the same reason as `dynamic_logged`: no merge-time
+    /// conflict scan exists to reject an instance.
     pub conflicts: u64,
     /// Statically proven budgeted instances whose sliced budget tripped in
     /// a worker (rerun serially to reproduce the exact serial abort).
@@ -58,26 +61,15 @@ pub struct ShardStats {
     pub declined_few_pes: u64,
     pub declined_hardware: u64,
     pub declined_wall_deadline: u64,
-    /// Budgeted instance without a static `Disjoint` proof: budget slicing
-    /// is only sound when blocks are independent.
+    /// Instances without a static `Disjoint` proof, all of which run
+    /// serially, budgeted or not. The name predates that rule, when only
+    /// budgeted unproven instances were declined.
     pub declined_budget_unproven: u64,
-    /// Distinct DOALL loops that ever hit a *dynamic* merge-time conflict
-    /// (insertion order). The mutation battery uses this as the oracle the
-    /// static verdict must never contradict: a loop in this list must not
-    /// be `Disjoint`.
-    pub conflict_loops: Vec<LoopId>,
 }
 
 impl ShardStats {
-    /// Total sharded instances that merged successfully. Budget reruns are
-    /// counted before an instance is classified as proven or logged, so only
-    /// dynamic conflicts subtract here.
+    /// Total sharded instances that merged successfully.
     pub fn sharded(&self) -> u64 {
-        self.static_proven + self.dynamic_logged - self.conflicts
-    }
-
-    /// Merge-time conflict scans avoided by static proofs.
-    pub fn dynamic_checks_skipped(&self) -> u64 {
         self.static_proven
     }
 }

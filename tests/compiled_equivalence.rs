@@ -1,6 +1,6 @@
 //! Equivalence of the two execution paths: the compiled trace (default)
 //! must be **cycle-for-cycle and byte-for-byte identical** to the reference
-//! tree walker (`SimOptions::force_treewalk` / `CCDP_FORCE_TREEWALK=1`) —
+//! tree walker (`SimOptions::force_treewalk`) —
 //! cycles, per-PE totals, epoch attribution, prefetch quality, oracle
 //! verdicts, fault stats, event traces, and the final memory image.
 //!
@@ -10,7 +10,7 @@
 
 use ccdp_bench::synth::{random_program, SynthConfig};
 use ccdp_bench::{cell_config, paper_kernels, Scale, PAPER_PES};
-use ccdp_core::{run_seq, EnvOverrides, PipelineConfig, Scheme};
+use ccdp_core::{run_seq, PipelineConfig, Scheme};
 use ccdp_ir::Program;
 use ccdp_json::ToJson;
 use t3d_sim::{FaultPlan, SimResult};
@@ -121,26 +121,4 @@ fn traced_runs_identical() {
     let mut cfg = cell_config(k, 8);
     cfg.sim.trace_capacity = 4096;
     check_base_ccdp(&k.program, &cfg, "VPENTA pes=8 traced");
-}
-
-/// The `CCDP_FORCE_TREEWALK` env var — applied through the single
-/// `EnvOverrides` parsing point — selects the same reference path as
-/// `SimOptions::force_treewalk`. (Runs on a small kernel; if another test
-/// in this binary races the env var, both sides degrade to the treewalk and
-/// the assertion still holds — the flag is equivalence-preserving by
-/// contract.)
-#[test]
-fn env_flag_matches_option_flag() {
-    let kernels = paper_kernels(Scale::Quick);
-    let k = &kernels[0];
-    let cfg = cell_config(k, 4);
-    std::env::set_var("CCDP_FORCE_TREEWALK", "1");
-    let mut env_cfg = cfg.clone();
-    EnvOverrides::from_env().expect("valid env").apply(&mut env_cfg);
-    std::env::remove_var("CCDP_FORCE_TREEWALK");
-    assert!(env_cfg.sim.force_treewalk, "env override must set the treewalk flag");
-    let via_env = env_cfg.run(&k.program, Scheme::Base).expect("base (env treewalk)").result;
-    let via_opt =
-        with_treewalk(&cfg).run(&k.program, Scheme::Base).expect("base (opt treewalk)").result;
-    assert_identical(&k.program, &via_env, &via_opt, "env flag vs option flag");
 }

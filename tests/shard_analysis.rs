@@ -1,19 +1,20 @@
-//! The static shard-independence analysis against its dynamic oracle.
+//! The static shard-independence analysis against its run-time oracle.
 //!
 //! Three layers of evidence, all on the same predicate (no earlier block
 //! writes a cache line a later block touches):
 //!
-//! * **Witness programs** pin each verdict — `Disjoint` runs with no shard
-//!   log and no merge-time conflict scan, `MayConflict` is caught by the
-//!   dynamic log and rerun serially, `Unknown` falls back to optimistic
-//!   dynamic logging — and all three stay byte-identical to the serial run.
+//! * **Witness programs** pin each verdict — `Disjoint` shards as pure
+//!   fork/join, `MayConflict` and `Unknown` run serially — and all three
+//!   stay byte-identical to the serial run.
 //! * **Property sweep**: across synth programs, the paper kernels, and PE
-//!   counts, a loop the analysis proves `Disjoint` must never appear in the
-//!   dynamic conflict log (zero false negatives: a missed conflict would be
-//!   a silent wrong answer, not a performance bug).
+//!   counts, a loop the analysis proves `Disjoint` must never be convicted
+//!   by the shard audit — a dynamic log of every PE's touched and written
+//!   lines per DOALL instance, recorded on a serial run and checked at the
+//!   finest partition (one PE per block). A false proof would be a silent
+//!   wrong answer, not a performance bug.
 //! * **Mutation battery**: `mutate_program` injects a cross-block write
 //!   into a DOALL; the static verdict must flip to non-`Disjoint` *and* the
-//!   dynamic log must record the conflict for the same loop.
+//!   audit must convict the same loop.
 //!
 //! Budget slicing rides along: statically proven epochs shard under cycle /
 //! step budgets, and tight budgets abort identically to the serial run.
@@ -21,11 +22,11 @@
 use ccdp_analysis::shard_scan;
 use ccdp_bench::synth::{mutate_program, random_program, ProgramMutation, SynthConfig};
 use ccdp_bench::{cell_config, paper_kernels, Scale, PAPER_PES};
-use ccdp_core::{PipelineConfig, Scheme};
+use ccdp_core::{compile_ccdp, PipelineConfig, Scheme};
 use ccdp_dist::Layout;
 use ccdp_ir::{CondB, Program, ProgramBuilder};
 use ccdp_json::ToJson;
-use t3d_sim::SimResult;
+use t3d_sim::{Scheme as SimScheme, ShardAudit, SimResult, Simulator};
 
 const N: i64 = 32;
 
@@ -112,8 +113,55 @@ fn witness_programs_pin_all_three_verdicts() {
     }
 }
 
-/// A proven-`Disjoint` epoch runs as pure fork/join: no dynamic logging, no
-/// conflicts, and the result is byte-identical to the serial run.
+/// Run `program` serially under `scheme` with the shard audit armed.
+/// Returns the program the simulator executed (CCDP runs the transformed
+/// one) and the audit.
+fn audit(program: &Program, cfg: &PipelineConfig, scheme: Scheme) -> (Program, ShardAudit) {
+    let layout = cfg.layout_for(program);
+    let (prog, sim_scheme) = match scheme {
+        Scheme::Base => (program.clone(), SimScheme::Base),
+        Scheme::Ccdp => {
+            let art = compile_ccdp(program, cfg);
+            (art.transformed, SimScheme::Ccdp { plan: art.plan })
+        }
+        other => panic!("audit helper covers BASE and CCDP, not {}", other.name()),
+    };
+    let (result, audit) = Simulator::new(&prog, layout, cfg.machine.clone(), sim_scheme, cfg.sim)
+        .run_shard_audit()
+        .expect("audited run completes");
+    assert!(result.oracle.is_coherent(), "{}: audited run read stale data", program.name);
+    assert_eq!(result.shard.sharded(), 0, "the audit runs serially");
+    (prog, audit)
+}
+
+/// Every loop the analysis proves `Disjoint` is innocent in the audit.
+/// Returns (proven loops checked, loops the audit convicted).
+fn check_proofs(
+    program: &Program,
+    cfg: &PipelineConfig,
+    scheme: Scheme,
+    what: &str,
+) -> (u64, u64) {
+    let (prog, audit) = audit(program, cfg, scheme);
+    let layout = cfg.layout_for(&prog);
+    let mut proven = 0;
+    for v in shard_scan(&prog, &layout, cfg.machine.line_words) {
+        if v.verdict.is_disjoint() {
+            proven += 1;
+            let c = audit.conflicts.iter().find(|c| c.doall == v.doall);
+            assert!(
+                c.is_none(),
+                "{what}: loop L{} of epoch '{}' proven Disjoint but the audit convicts it: {c:?}",
+                v.doall.index(),
+                v.label,
+            );
+        }
+    }
+    (proven, audit.conflicts.len() as u64)
+}
+
+/// A proven-`Disjoint` epoch runs as pure fork/join, and the result is
+/// byte-identical to the serial run.
 #[test]
 fn disjoint_witness_skips_the_dynamic_machinery() {
     let p = disjoint_program();
@@ -121,128 +169,93 @@ fn disjoint_witness_skips_the_dynamic_machinery() {
     let par = threaded(&cfg, 4).run(&p, Scheme::Base).expect("parallel run");
     let ser = threaded(&cfg, 0).run(&p, Scheme::Base).expect("serial run");
     assert!(par.result.shard.static_proven > 0, "epoch should be proven statically");
+    assert_eq!(par.result.shard.sharded(), par.result.shard.static_proven);
+    assert_eq!(par.result.shard.declined_budget_unproven, 0);
     assert_eq!(par.result.shard.dynamic_logged, 0);
     assert_eq!(par.result.shard.conflicts, 0);
-    assert_eq!(par.result.shard.dynamic_checks_skipped(), par.result.shard.static_proven);
-    assert!(par.result.shard.conflict_loops.is_empty());
     assert_identical(&p, &par.result, &ser.result, "disjoint witness");
     // Serial runs never shard: the stats stay zero.
     assert_eq!(ser.result.shard.sharded(), 0);
+    // The audit agrees: no PE touches a line an earlier PE wrote.
+    let (_, a) = audit(&p, &cfg, Scheme::Base);
+    assert!(a.instances > 0);
+    assert!(a.conflicts.is_empty(), "{:?}", a.conflicts);
 }
 
-/// A really-conflicting epoch is caught by the merge-time scan, recorded in
-/// `conflict_loops`, rerun serially — and therefore still byte-identical.
+/// A really-conflicting epoch is `MayConflict`, so it runs serially — and
+/// therefore byte-identically. The audit convicts the same loop, which is
+/// what gives the property sweep below its teeth.
 #[test]
-fn conflict_witness_is_caught_and_rerun_serially() {
+fn conflict_witness_runs_serially() {
     let p = conflict_program();
     let cfg = PipelineConfig::t3d(8);
     let layout = cfg.layout_for(&p);
     let doall = shard_scan(&p, &layout, cfg.machine.line_words)[0].doall;
     let par = threaded(&cfg, 4).run(&p, Scheme::Base).expect("parallel run");
     let ser = threaded(&cfg, 0).run(&p, Scheme::Base).expect("serial run");
-    assert!(par.result.shard.conflicts > 0, "merge scan should reject the stencil");
-    assert_eq!(par.result.shard.static_proven, 0);
-    assert!(par.result.shard.conflict_loops.contains(&doall));
+    assert_eq!(par.result.shard.sharded(), 0, "an unproven epoch must not shard");
+    assert!(par.result.shard.declined_budget_unproven > 0);
     assert_identical(&p, &par.result, &ser.result, "conflict witness");
+    let (_, a) = audit(&p, &cfg, Scheme::Base);
+    let c = a.conflicts.first().expect("the stencil conflicts at run time");
+    assert_eq!(c.doall, doall);
+    assert!(c.writer < c.toucher, "{c:?}");
 }
 
-/// An `Unknown` epoch takes the optimistic dynamic path; here the guarded
-/// body is actually disjoint, so it merges cleanly with zero conflicts.
+/// An `Unknown` epoch runs serially too, even though this guarded body is
+/// actually disjoint (the audit convicts nothing): `Unknown` is
+/// conservative, never optimistic.
 #[test]
-fn unknown_witness_falls_back_to_dynamic_logging() {
+fn unknown_witness_runs_serially() {
     let p = unknown_program();
     let cfg = PipelineConfig::t3d(8);
     let par = threaded(&cfg, 4).run(&p, Scheme::Base).expect("parallel run");
     let ser = threaded(&cfg, 0).run(&p, Scheme::Base).expect("serial run");
-    assert!(par.result.shard.dynamic_logged > 0, "Unknown should shard optimistically");
-    assert_eq!(par.result.shard.static_proven, 0);
-    assert_eq!(par.result.shard.conflicts, 0);
+    assert_eq!(par.result.shard.sharded(), 0, "an unproven epoch must not shard");
+    assert!(par.result.shard.declined_budget_unproven > 0);
     assert_identical(&p, &par.result, &ser.result, "unknown witness");
+    let (_, a) = audit(&p, &cfg, Scheme::Base);
+    assert!(a.conflicts.is_empty(), "{:?}", a.conflicts);
 }
 
-/// `CCDP_SHARD_STATIC=0` semantics: with the static pass disabled every
-/// sharded epoch is dynamically logged, and the bytes do not change.
-#[test]
-fn fast_path_on_off_and_serial_are_byte_identical() {
-    let kernels = paper_kernels(Scale::Quick);
-    let mut cases: Vec<(String, Program, PipelineConfig, Scheme)> = vec![
-        ("disjoint".into(), disjoint_program(), PipelineConfig::t3d(8), Scheme::Base),
-        ("MXM".into(), kernels[0].program.clone(), cell_config(&kernels[0], 8), Scheme::Ccdp),
-        ("TOMCATV".into(), kernels[2].program.clone(), cell_config(&kernels[2], 8), Scheme::Ccdp),
-    ];
-    for (name, p, cfg, scheme) in cases.drain(..) {
-        let mut on = threaded(&cfg, 4);
-        on.sim.shard_static = true;
-        let mut off = threaded(&cfg, 4);
-        off.sim.shard_static = false;
-        let a = on.run(&p, scheme).expect("shard_static=1 run");
-        let b = off.run(&p, scheme).expect("shard_static=0 run");
-        let s = threaded(&cfg, 0).run(&p, scheme).expect("serial run");
-        let prog = a.artifacts.as_ref().map_or(&p, |x| &x.transformed);
-        assert_identical(prog, &a.result, &b.result, &format!("{name} on-vs-off"));
-        assert_identical(prog, &a.result, &s.result, &format!("{name} on-vs-serial"));
-        // The knob only moves work between the two sharded paths.
-        assert_eq!(b.result.shard.static_proven, 0, "{name}: knob off must not prove");
-    }
-}
-
-/// Zero false negatives over synth programs: a statically `Disjoint` loop
-/// never shows up in the dynamic conflict log. `shard_static` is forced off
-/// so *every* sharded DOALL instance is dynamically checked.
+/// Zero false proofs over synth programs: a statically `Disjoint` loop is
+/// never convicted by the audit. The sweep must exercise both sides —
+/// proven loops to check, and conflicts the audit does see.
 #[test]
 fn synth_static_disjoint_never_contradicts_the_dynamic_log() {
     let synth_cfg = SynthConfig::default();
+    let (mut proven, mut convicted) = (0, 0);
     for seed in 0..40u64 {
         let p = random_program(seed, &synth_cfg);
-        for n in [2usize, 4] {
-            let mut cfg = threaded(&PipelineConfig::t3d(n), 4);
-            cfg.sim.shard_static = false;
-            let layout = cfg.layout_for(&p);
-            let run = cfg.run(&p, Scheme::Ccdp).expect("synth ccdp run");
-            let prog = &run.artifacts.as_ref().expect("ccdp artifacts").transformed;
-            for v in shard_scan(prog, &layout, cfg.machine.line_words) {
-                if v.verdict.is_disjoint() {
-                    assert!(
-                        !run.result.shard.conflict_loops.contains(&v.doall),
-                        "seed {seed} pes={n}: loop L{} of epoch '{}' proven Disjoint \
-                         but dynamically conflicted",
-                        v.doall.index(),
-                        v.label,
-                    );
-                }
-            }
+        for n in [2usize, 4, 8] {
+            let what = format!("seed {seed} pes={n}");
+            let (pr, cv) = check_proofs(&p, &PipelineConfig::t3d(n), Scheme::Ccdp, &what);
+            proven += pr;
+            convicted += cv;
         }
     }
+    assert!(proven > 0 && convicted > 0, "vacuous sweep: {proven} proven, {convicted} convicted");
 }
 
-/// The same zero-false-negative contract over the paper kernels at every
+/// The same zero-false-proof contract over the paper kernels at every
 /// multi-PE paper PE count.
 #[test]
 fn kernel_static_disjoint_never_contradicts_the_dynamic_log() {
+    let (mut proven, mut convicted) = (0, 0);
     for k in &paper_kernels(Scale::Quick) {
         for &n in PAPER_PES.iter().filter(|&&n| n >= 2) {
-            let mut cfg = threaded(&cell_config(k, n), 4);
-            cfg.sim.shard_static = false;
-            let layout = cfg.layout_for(&k.program);
-            let run = cfg.run(&k.program, Scheme::Ccdp).expect("kernel ccdp run");
-            let prog = &run.artifacts.as_ref().expect("ccdp artifacts").transformed;
-            for v in shard_scan(prog, &layout, cfg.machine.line_words) {
-                if v.verdict.is_disjoint() {
-                    assert!(
-                        !run.result.shard.conflict_loops.contains(&v.doall),
-                        "{} pes={n}: loop L{} proven Disjoint but dynamically conflicted",
-                        k.name,
-                        v.doall.index(),
-                    );
-                }
-            }
+            let what = format!("{} pes={n}", k.name);
+            let (pr, cv) = check_proofs(&k.program, &cell_config(k, n), Scheme::Ccdp, &what);
+            proven += pr;
+            convicted += cv;
         }
     }
+    assert!(proven > 0 && convicted > 0, "vacuous sweep: {proven} proven, {convicted} convicted");
 }
 
 /// Mutation battery: injecting a cross-block write must flip the static
-/// verdict to non-`Disjoint`, and the dynamic log must catch the same loop
-/// at run time — the two detectors agree on every corruption.
+/// verdict to non-`Disjoint`, and the audit must convict the same loop at
+/// run time — the two detectors agree on every corruption.
 #[test]
 fn mutated_programs_flip_the_verdict_and_the_dynamic_log_agrees() {
     let synth_cfg = SynthConfig::default();
@@ -250,18 +263,15 @@ fn mutated_programs_flip_the_verdict_and_the_dynamic_log_agrees() {
         let mut p = random_program(seed, &synth_cfg);
         let m = mutate_program(seed, &mut p).expect("synth programs always have a site");
         let ProgramMutation::CrossBlockWrite { doall, .. } = &m;
-        let cfg = threaded(&PipelineConfig::t3d(8), 4);
+        let cfg = PipelineConfig::t3d(8);
         let layout = cfg.layout_for(&p);
         let v = shard_scan(&p, &layout, cfg.machine.line_words)
             .into_iter()
             .find(|v| v.doall == *doall)
             .expect("mutated doall is scanned");
         assert!(!v.verdict.is_disjoint(), "seed {seed}: {m} left the loop Disjoint");
-        let run = cfg.run(&p, Scheme::Base).expect("mutated base run");
-        assert!(
-            run.result.shard.conflict_loops.contains(doall),
-            "seed {seed}: {m} not caught by the dynamic log",
-        );
+        let (_, a) = audit(&p, &cfg, Scheme::Base);
+        assert!(a.convicts(*doall), "seed {seed}: {m} not convicted by the audit");
     }
 }
 
