@@ -1,9 +1,9 @@
 //! Expression-dispatch microbenches: the boxed [`ValExpr`] tree walk vs the
-//! postfix stack machine vs the shape-specialized direct-threaded
-//! evaluator ([`CExpr::eval`]), plus the end-to-end effect of the chunked
-//! batch sweep on a pure-private kernel (reference tree walker vs compiled
-//! trace). All paths are bit-identical by construction — these benches
-//! exist to keep the fast paths honest about actually being fast.
+//! compiled postfix stack machine ([`CExpr::eval`]), plus the end-to-end
+//! effect of the compiled trace on a pure-private loop nest (reference tree
+//! walker vs compiled body). Both paths are bit-identical by construction —
+//! these benches exist to keep the compiled path honest about actually
+//! being fast.
 
 use ccdp_ir::{ProgramBuilder, ValExpr, VarEnv, VarId};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -20,7 +20,8 @@ fn mac_expr() -> ValExpr {
     )
 }
 
-/// A shape with no specialization: forces the postfix fallback in `eval`.
+/// A larger expression mixing unary and binary operators and a loop
+/// variable.
 fn general_expr() -> ValExpr {
     use ValExpr::*;
     Max(
@@ -43,19 +44,16 @@ fn bench_eval(c: &mut Criterion) {
             b.iter(|| black_box(e.eval(black_box(&reads), &env)));
         });
         g.bench_with_input(BenchmarkId::new("postfix", name), &ce, |b, ce| {
-            b.iter(|| black_box(ce.eval_postfix(black_box(&reads), &env)));
-        });
-        g.bench_with_input(BenchmarkId::new("direct", name), &ce, |b, ce| {
             b.iter(|| black_box(ce.eval(black_box(&reads), &env)));
         });
     }
     g.finish();
 }
 
-/// A pure-private two-statement loop nest: the body batches, so the
-/// compiled path runs the chunked values-only sweep while the tree walker
-/// pays full per-access dispatch. Same cycles, same bytes — the gap is
-/// pure host-dispatch overhead.
+/// A pure-private two-statement loop nest: the compiled path runs
+/// strength-reduced subscripts and pre-resolved dispatch while the tree
+/// walker re-evaluates both per access. Same cycles, same bytes — the gap
+/// is pure host-dispatch overhead.
 fn bench_sweep(c: &mut Criterion) {
     const N: i64 = 256;
     let mut pb = ProgramBuilder::new("sweep");
@@ -70,9 +68,9 @@ fn bench_sweep(c: &mut Criterion) {
         });
     });
     let program = pb.finish().unwrap();
-    let mut g = c.benchmark_group("batch_sweep");
+    let mut g = c.benchmark_group("private_loop");
     g.throughput(Throughput::Elements((64 * N) as u64));
-    for (name, treewalk) in [("treewalk", true), ("compiled_chunked", false)] {
+    for (name, treewalk) in [("treewalk", true), ("compiled", false)] {
         g.bench_function(name, |b| {
             b.iter(|| {
                 let layout = ccdp_dist::Layout::new(&program, 1);

@@ -16,15 +16,9 @@
 //! * each reference's [`Handling`] and scheme dispatch is resolved once into
 //!   an [`AccessKind`] consumed by a branch-light execution loop
 //!   (`interp.rs::exec_cstmts`);
-//! * each value expression is flattened to postfix form and, when it is one
-//!   of the common small shapes, **direct-threaded** into a [`FastExpr`]
-//!   that evaluates as straight-line code — no opcode dispatch loop, no
-//!   value stack — applying the identical `f64` operations in the identical
-//!   order, so results stay bit-for-bit equal to the tree walk;
-//! * per-iteration **invariant cycle charges** of pure-private straight-line
-//!   bodies (cache-hit reads, local writes, FLOP work) are batched into an
-//!   [`IterCharges`] record charged once per iteration — or once per loop
-//!   entry, multiplied by the trip count — instead of per access.
+//! * each value expression is flattened once to a postfix opcode sequence
+//!   ([`CExpr`]) evaluated by a small stack machine — the tree's own
+//!   evaluation order, so results stay bit-for-bit equal to the tree walk.
 //!
 //! Compiled bodies are cached per `(loop, scheme)` — the scheme is fixed for
 //! a `Simulator` instance, so the cache key degenerates to the `LoopId` —
@@ -135,126 +129,6 @@ impl SlotSpec<'_> {
     }
 }
 
-/// One operand of a shape-specialized expression (see [`FastExpr`]).
-#[derive(Clone, Copy, Debug)]
-pub enum Opnd {
-    /// The statement's `k`-th loaded read value.
-    Read(u32),
-    Lit(f64),
-    /// A loop variable's current value as `f64`.
-    Var(VarId),
-}
-
-impl Opnd {
-    #[inline]
-    fn get(self, reads: &[f64], env: &VarEnv) -> f64 {
-        match self {
-            Opnd::Read(k) => reads[k as usize],
-            Opnd::Lit(v) => v,
-            Opnd::Var(v) => env.get(v) as f64,
-        }
-    }
-}
-
-/// A binary operator of a shape-specialized expression.
-#[derive(Clone, Copy, Debug)]
-pub enum BinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Min,
-    Max,
-}
-
-impl BinOp {
-    #[inline]
-    fn apply(self, a: f64, b: f64) -> f64 {
-        match self {
-            BinOp::Add => a + b,
-            BinOp::Sub => a - b,
-            BinOp::Mul => a * b,
-            BinOp::Div => a / b,
-            BinOp::Min => a.min(b),
-            BinOp::Max => a.max(b),
-        }
-    }
-}
-
-/// Direct-threaded form of the common small expression shapes. The postfix
-/// stack machine is general but pays a dispatch branch, a stack store, and
-/// a stack load per opcode; almost every kernel statement is one of a
-/// handful of tiny shapes (`x`, `x op y`, a three-operand chain), which
-/// evaluate here as straight-line code with the operands in registers.
-/// Every shape applies the same `f64` operations in the same order as the
-/// postfix evaluation of the same opcode sequence, so results stay
-/// bit-identical; anything bigger falls back to [`FastExpr::General`].
-#[derive(Clone, Copy, Debug)]
-enum FastExpr {
-    /// `x` — postfix `[x]`.
-    Leaf(Opnd),
-    /// `a op b` — postfix `[a, b, op]`.
-    Bin { op: BinOp, a: Opnd, b: Opnd },
-    /// `(a op1 b) op2 c` — postfix `[a, b, op1, c, op2]`.
-    BinL { op1: BinOp, a: Opnd, b: Opnd, op2: BinOp, c: Opnd },
-    /// `a op2 (b op1 c)` — postfix `[a, b, c, op1, op2]` (e.g. MXM's
-    /// `c + a * b` multiply-accumulate).
-    BinR { a: Opnd, op1: BinOp, b: Opnd, op2: BinOp, c: Opnd },
-    /// No specialization: evaluate through the postfix stack machine.
-    General,
-}
-
-fn opnd_of(op: EOp) -> Option<Opnd> {
-    match op {
-        EOp::Read(k) => Some(Opnd::Read(k)),
-        EOp::Lit(v) => Some(Opnd::Lit(v)),
-        EOp::Var(v) => Some(Opnd::Var(v)),
-        _ => None,
-    }
-}
-
-fn binop_of(op: EOp) -> Option<BinOp> {
-    match op {
-        EOp::Add => Some(BinOp::Add),
-        EOp::Sub => Some(BinOp::Sub),
-        EOp::Mul => Some(BinOp::Mul),
-        EOp::Div => Some(BinOp::Div),
-        EOp::Min => Some(BinOp::Min),
-        EOp::Max => Some(BinOp::Max),
-        _ => None,
-    }
-}
-
-/// Match a postfix opcode sequence against the specialized shapes.
-fn specialize(ops: &[EOp]) -> FastExpr {
-    match *ops {
-        [x] => {
-            if let Some(x) = opnd_of(x) {
-                return FastExpr::Leaf(x);
-            }
-        }
-        [a, b, op] => {
-            if let (Some(a), Some(b), Some(op)) = (opnd_of(a), opnd_of(b), binop_of(op)) {
-                return FastExpr::Bin { op, a, b };
-            }
-        }
-        [x0, x1, x2, x3, x4] => {
-            if let (Some(a), Some(b), Some(op1), Some(c), Some(op2)) =
-                (opnd_of(x0), opnd_of(x1), binop_of(x2), opnd_of(x3), binop_of(x4))
-            {
-                return FastExpr::BinL { op1, a, b, op2, c };
-            }
-            if let (Some(a), Some(b), Some(c), Some(op1), Some(op2)) =
-                (opnd_of(x0), opnd_of(x1), opnd_of(x2), binop_of(x3), binop_of(x4))
-            {
-                return FastExpr::BinR { a, op1, b, op2, c };
-            }
-        }
-        _ => {}
-    }
-    FastExpr::General
-}
-
 /// One opcode of a flattened value expression (postfix order).
 #[derive(Clone, Copy, Debug)]
 pub enum EOp {
@@ -275,18 +149,14 @@ pub enum EOp {
     Max,
 }
 
-/// A [`ValExpr`] flattened to postfix form and — when it matches one of
-/// the common small shapes — further specialized to a direct-threaded
-/// [`FastExpr`]. The postfix opcode sequence is the tree's own evaluation
-/// order, and every specialized shape applies the same operations in that
-/// same order, so every path produces bit-identical results.
+/// A [`ValExpr`] flattened to postfix form. The opcode sequence is the
+/// tree's own evaluation order, so evaluation is bit-identical to
+/// `ValExpr::eval`.
 #[derive(Clone, Debug)]
 pub struct CExpr {
     ops: Vec<EOp>,
     /// Peak stack depth of `ops` (bounds the evaluator's scratch).
     depth: usize,
-    /// Shape specialization of `ops` (`General` when none applies).
-    fast: FastExpr,
 }
 
 impl CExpr {
@@ -330,35 +200,14 @@ impl CExpr {
                 _ => d -= 1,
             }
         }
-        let fast = specialize(&ops);
-        CExpr { ops, depth, fast }
+        CExpr { ops, depth }
     }
 
     /// Evaluate given the loaded read values and the loop-variable
-    /// environment. Matches `ValExpr::eval` bit-for-bit: specialized
-    /// shapes run as straight-line code, everything else goes through
-    /// [`CExpr::eval_postfix`].
+    /// environment through the postfix stack machine. Matches
+    /// `ValExpr::eval` bit-for-bit.
     #[inline]
     pub fn eval(&self, reads: &[f64], env: &VarEnv) -> f64 {
-        match self.fast {
-            FastExpr::Leaf(x) => x.get(reads, env),
-            FastExpr::Bin { op, a, b } => op.apply(a.get(reads, env), b.get(reads, env)),
-            FastExpr::BinL { op1, a, b, op2, c } => {
-                op2.apply(op1.apply(a.get(reads, env), b.get(reads, env)), c.get(reads, env))
-            }
-            FastExpr::BinR { a, op1, b, op2, c } => {
-                op2.apply(a.get(reads, env), op1.apply(b.get(reads, env), c.get(reads, env)))
-            }
-            FastExpr::General => self.eval_postfix(reads, env),
-        }
-    }
-
-    /// Evaluate through the postfix stack machine regardless of shape
-    /// specialization. This is the reference path the `dispatch`
-    /// microbench pits [`CExpr::eval`] against; `eval` itself routes here
-    /// for `General` shapes.
-    #[inline]
-    pub fn eval_postfix(&self, reads: &[f64], env: &VarEnv) -> f64 {
         if self.depth <= FIXED_STACK {
             self.eval_on(&mut [0.0; FIXED_STACK], reads, env)
         } else {
@@ -410,19 +259,6 @@ impl CExpr {
 /// but unseen in practice) expressions spill to a heap allocation.
 const FIXED_STACK: usize = 16;
 
-/// Per-iteration invariant charges of a pure-private straight-line body.
-/// Multiplied by the machine's unit costs (and the trip count) at charge
-/// time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct IterCharges {
-    /// Private reads per iteration (× `cache_hit` cycles each).
-    pub reads: u64,
-    /// Private writes per iteration (× `write_local` cycles each).
-    pub writes: u64,
-    /// Summed FLOP + extra cost cycles per iteration.
-    pub fp: u64,
-}
-
 /// A compiled assignment.
 #[derive(Clone, Debug)]
 pub(crate) struct CAssign {
@@ -462,14 +298,6 @@ pub(crate) struct CompiledBody<'p> {
     /// Distinct `(array, subscript)` recurrences referenced by `stmts`
     /// (identical subscripts share a slot).
     pub slots: Vec<SlotSpec<'p>>,
-    /// `Some` when the body is straight-line private-only code whose cycle
-    /// charges can be batched per iteration (see [`IterCharges`]).
-    pub batch: Option<IterCharges>,
-    /// Some expression in the body reads the loop variable itself. When
-    /// false (and every slot recurrence took the fast path), the batched
-    /// sweep skips maintaining the variable binding entirely — the
-    /// recurrences already carry all per-iteration state.
-    pub uses_loop_var: bool,
 }
 
 /// Everything the compiler needs from the simulator.
@@ -513,21 +341,7 @@ fn compile_body<'p>(
 ) -> CompiledBody<'p> {
     let mut slots: Vec<SlotSpec<'p>> = Vec::new();
     let stmts = compile_stmts(stmts, var, ctx, &mut slots);
-    let batch = batch_of(&stmts);
-    let uses_loop_var = stmts_use_var(&stmts, var);
-    CompiledBody { stmts, slots, batch, uses_loop_var }
-}
-
-/// Does any statement's expression read `var`? `If`/`Loop`/`Prefetch`
-/// statements conservatively count as users (conditions, nested bounds,
-/// and prefetch subscripts all evaluate against the environment) — those
-/// shapes never batch anyway, so the flag only has to be exact for
-/// straight-line assignment bodies.
-fn stmts_use_var(stmts: &[CStmt<'_>], var: VarId) -> bool {
-    stmts.iter().any(|s| match s {
-        CStmt::Assign(a) => a.expr.ops.iter().any(|op| matches!(op, EOp::Var(v) if *v == var)),
-        _ => true,
-    })
+    CompiledBody { stmts, slots }
 }
 
 fn compile_stmts<'p>(
@@ -627,27 +441,6 @@ fn slot_for<'p>(
     (slots.len() - 1) as u32
 }
 
-/// A body's charges can be batched per iteration iff it is straight-line
-/// code touching only private data: no branch, nested loop, prefetch, or
-/// shared reference — i.e. nothing that observes or is observed through the
-/// PE clock (no trace events either; private accesses emit none).
-fn batch_of(stmts: &[CStmt<'_>]) -> Option<IterCharges> {
-    if stmts.is_empty() {
-        return None;
-    }
-    let mut b = IterCharges::default();
-    for s in stmts {
-        let CStmt::Assign(a) = s else { return None };
-        if a.write.shared || a.reads.iter().any(|r| r.kind != AccessKind::Private) {
-            return None;
-        }
-        b.reads += a.reads.len() as u64;
-        b.writes += 1;
-        b.fp += a.cost;
-    }
-    Some(b)
-}
-
 #[cfg(test)]
 mod unit {
     use super::*;
@@ -691,22 +484,6 @@ mod unit {
         assert!(a0.write.shared);
         assert_eq!(a0.reads[0].kind, AccessKind::Cached(Handling::Normal));
         assert_eq!(a0.reads[1].kind, AccessKind::Private);
-    }
-
-    #[test]
-    fn mixed_body_does_not_batch_but_private_only_does() {
-        let (p, mem, craft) = ctx_fixture();
-        let scheme = Scheme::Sequential;
-        let ctx = CompileCtx { program: &p, mem: &mem, scheme: &scheme, craft_cost: &craft };
-        let cb = compile_loop(outer_loop(&p), &ctx);
-        // The body mixes shared and private statements: no batch.
-        assert_eq!(cb.batch, None);
-        // A body of only the private statement batches.
-        let private_only = vec![cb.stmts[1].clone()];
-        assert_eq!(
-            batch_of(&private_only),
-            Some(IterCharges { reads: 1, writes: 1, fp: 2 })
-        );
     }
 
     #[test]
@@ -754,25 +531,16 @@ mod unit {
             )),
             Box::new(Read(0)),
         );
-        let ce = CExpr::compile(&e);
-        let mut env = VarEnv::new(1);
-        for (v0, reads) in [
-            (3, [7.25, -1.5, 2.0]),
-            (-2, [0.1, 1e9, 0.3]),
-            (0, [f64::NAN, 1.0, 4.0]),
-        ] {
-            env.set(VarId(0), v0);
-            let want = e.eval(&reads, &env);
-            let got = ce.eval(&reads, &env);
-            assert_eq!(want.to_bits(), got.to_bits());
-        }
+        assert_matches_tree_eval("nested", &e);
     }
 
+    /// The short shapes that dominate the paper kernels go through the
+    /// same postfix machine as every other expression and must agree with
+    /// the tree walker bit for bit, NaN reads included.
     #[test]
     fn common_shapes_specialize_and_match_postfix_bitwise() {
         use ccdp_ir::VarId;
         use ValExpr::*;
-        // (shape we expect, expression)
         let cases: Vec<(&str, ValExpr)> = vec![
             ("leaf", Read(0)),
             ("bin", Add(Box::new(Read(0)), Box::new(Lit(2.5)))),
@@ -784,59 +552,38 @@ mod unit {
                     Box::new(Read(2)),
                 ),
             ),
-            // MXM multiply-accumulate r0 + (r1 * r2): postfix
-            // [r0, r1, r2, Mul, Add].
+            // MXM-style multiply-accumulate r0 + (r1 * v0): postfix
+            // [r0, r1, v0, Mul, Add].
             (
-                "binr",
+                "mac",
                 Add(
                     Box::new(Read(0)),
                     Box::new(Mul(Box::new(Read(1)), Box::new(Var(VarId(0))))),
                 ),
             ),
+            ("neg", Neg(Box::new(Read(0)))),
         ];
-        let mut env = VarEnv::new(1);
-        env.set(VarId(0), 3);
         for (name, e) in &cases {
-            let ce = CExpr::compile(e);
-            assert!(
-                !matches!(ce.fast, FastExpr::General),
-                "{name} should specialize"
-            );
-            for reads in [[1.5, -0.25, 1e9], [f64::NAN, 0.0, -7.125]] {
-                let want = e.eval(&reads, &env);
-                assert_eq!(ce.eval(&reads, &env).to_bits(), want.to_bits(), "{name}");
-                assert_eq!(ce.eval_postfix(&reads, &env).to_bits(), want.to_bits(), "{name}");
-            }
+            assert_matches_tree_eval(name, e);
         }
-        // Unary operators have no specialized shape.
-        let neg = Neg(Box::new(Read(0)));
-        assert!(matches!(CExpr::compile(&neg).fast, FastExpr::General));
     }
 
-    #[test]
-    fn loop_var_use_is_detected_exactly_for_assign_bodies() {
-        let (p, mem, craft) = ctx_fixture();
-        let scheme = Scheme::Sequential;
-        let ctx = CompileCtx { program: &p, mem: &mem, scheme: &scheme, craft_cost: &craft };
-        let cb = compile_loop(outer_loop(&p), &ctx);
-        // Neither fixture expression reads `i` as a value (only subscripts
-        // do, and those live in the slot recurrences).
-        assert!(!cb.uses_loop_var);
-        let mut pb = ProgramBuilder::new("t2");
-        let t = pb.private("T", &[8]);
-        pb.serial_epoch("e", |e| {
-            e.serial("i", 0, 7, |e, i| {
-                e.assign(t.at1(i), t.at1(i).rd() + i.val());
-            });
-        });
-        let p2 = pb.finish().unwrap();
-        let layout = Layout::new(&p2, 2);
-        let mem2 = Memory::new(&p2, &layout);
-        let craft2 = vec![0u64; p2.arrays.len()];
-        let ctx2 =
-            CompileCtx { program: &p2, mem: &mem2, scheme: &scheme, craft_cost: &craft2 };
-        let cb2 = compile_loop(outer_loop(&p2), &ctx2);
-        assert!(cb2.uses_loop_var, "i.val() reads the loop variable");
+    fn assert_matches_tree_eval(name: &str, e: &ValExpr) {
+        use ccdp_ir::VarId;
+        let inputs = [
+            (3, [7.25, -1.5, 2.0]),
+            (-2, [0.1, 1e9, 0.3]),
+            (0, [f64::NAN, 1.0, 4.0]),
+            (3, [1.5, -0.25, 1e9]),
+            (3, [f64::NAN, 0.0, -7.125]),
+        ];
+        let ce = CExpr::compile(e);
+        let mut env = VarEnv::new(1);
+        for (v0, reads) in inputs {
+            env.set(VarId(0), v0);
+            let want = e.eval(&reads, &env).to_bits();
+            assert_eq!(ce.eval(&reads, &env).to_bits(), want, "{name} {v0} {reads:?}");
+        }
     }
 
     #[test]

@@ -483,17 +483,6 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Charge `a * b` cycles with saturating arithmetic, clamped so the
-    /// PE's counter cannot overflow. Used by the batched loop-entry charges,
-    /// where a runaway synthesized trip count could otherwise wrap `u64`
-    /// before the budget check gets a chance to abort the run. The clamp
-    /// keeps `breakdown.total() == pe.now` exact even at saturation.
-    fn charge_saturating(&mut self, pe: usize, cat: CycleCategory, a: u64, b: u64) {
-        let room = u64::MAX - self.pes[pe].now;
-        let amt = a.saturating_mul(b).min(room);
-        self.charge(pe, cat, amt);
-    }
-
     /// Charge the same amount to every PE.
     fn charge_all(&mut self, cat: CycleCategory, cycles: u64) {
         for pe in 0..self.pes.len() {
@@ -1009,56 +998,7 @@ impl<'p> Simulator<'p> {
             }
             return;
         };
-        let trip = (hi - lo) / l.step + 1;
-        let last = lo + (trip - 1) * l.step;
-        let mut frame = self.frames.pop().unwrap_or_default();
-        frame.clear();
-        for spec in &body.slots {
-            frame.push(spec.enter(&self.env, lo, last, l.step));
-        }
-        if let Some(b) = body.batch {
-            // Straight-line private-only body: nothing in the range observes
-            // the PE clock, so the whole range's charges collapse into one
-            // charge per category up front (see `exec_compiled_loop`).
-            // Saturating products: a runaway trip count must trip the budget
-            // check below, not wrap the arithmetic.
-            let t = trip as u64;
-            self.charge_saturating(pe, CycleCategory::LoopOverhead, t, self.cfg.loop_overhead);
-            self.charge_saturating(pe, CycleCategory::SchedOverhead, t, per_iter);
-            self.charge_saturating(pe, CycleCategory::CacheHit, t.saturating_mul(b.reads), self.cfg.cache_hit);
-            self.charge_saturating(pe, CycleCategory::WriteLocal, t.saturating_mul(b.writes), self.cfg.write_local);
-            self.charge_saturating(pe, CycleCategory::FpWork, t, b.fp);
-            if !self.exec_batch_sweep(pe, l, lo, trip, body, &mut frame) {
-                let mut v = lo;
-                while v <= hi {
-                    if !self.tick(pe) {
-                        break;
-                    }
-                    self.env.set(l.var, v);
-                    self.exec_cstmts_values_only(pe, body, &frame);
-                    for st in frame.iter_mut() {
-                        st.off += st.doff;
-                    }
-                    v += l.step;
-                }
-            }
-        } else {
-            let mut v = lo;
-            while v <= hi {
-                if !self.tick(pe) {
-                    break;
-                }
-                self.env.set(l.var, v);
-                self.charge(pe, CycleCategory::LoopOverhead, self.cfg.loop_overhead);
-                self.charge(pe, CycleCategory::SchedOverhead, per_iter);
-                self.exec_cstmts(pe, &body.stmts, &body.slots, &frame);
-                for st in frame.iter_mut() {
-                    st.off += st.doff;
-                }
-                v += l.step;
-            }
-        }
-        self.frames.push(frame);
+        self.run_compiled_iters(pe, l, lo, hi, per_iter, false, body);
     }
 
     fn barrier(&mut self) {
@@ -1202,6 +1142,27 @@ impl<'p> Simulator<'p> {
         if pipelined {
             self.pipeline_prologue(pe, l, lo, hi);
         }
+        self.run_compiled_iters(pe, l, lo, hi, 0, pipelined, body);
+        self.env.unset(l.var);
+    }
+
+    /// Iterations `lo..=hi` (`lo <= hi`) of a loop on one PE through its
+    /// compiled body: the one compiled iteration loop, shared by DOALL
+    /// ranges (`per_iter` scheduling overhead, never pipelined) and serial
+    /// loops (`per_iter = 0`, so the `SchedOverhead` charge adds nothing).
+    /// Charges in the tree walker's order: `LoopOverhead`, `SchedOverhead`,
+    /// the pipelined prefetches, then the body.
+    #[allow(clippy::too_many_arguments)]
+    fn run_compiled_iters(
+        &mut self,
+        pe: usize,
+        l: &'p Loop,
+        lo: i64,
+        hi: i64,
+        per_iter: u64,
+        pipelined: bool,
+        body: &CompiledBody<'p>,
+    ) {
         let trip = (hi - lo) / l.step + 1;
         let last = lo + (trip - 1) * l.step;
         let mut frame = self.frames.pop().unwrap_or_default();
@@ -1209,52 +1170,23 @@ impl<'p> Simulator<'p> {
         for spec in &body.slots {
             frame.push(spec.enter(&self.env, lo, last, l.step));
         }
-        match body.batch {
-            // Straight-line private-only body: no trace events, no cache or
-            // clock observation anywhere in the loop, so the per-iteration
-            // charges collapse into one charge per category at entry. The
-            // values-only sweep still runs every iteration.
-            Some(b) if !pipelined => {
-                let t = trip as u64;
-                self.charge_saturating(pe, CycleCategory::LoopOverhead, t, self.cfg.loop_overhead);
-                self.charge_saturating(pe, CycleCategory::CacheHit, t.saturating_mul(b.reads), self.cfg.cache_hit);
-                self.charge_saturating(pe, CycleCategory::WriteLocal, t.saturating_mul(b.writes), self.cfg.write_local);
-                self.charge_saturating(pe, CycleCategory::FpWork, t, b.fp);
-                if !self.exec_batch_sweep(pe, l, lo, trip, body, &mut frame) {
-                    let mut v = lo;
-                    while v <= hi {
-                        if !self.tick(pe) {
-                            break;
-                        }
-                        self.env.set(l.var, v);
-                        self.exec_cstmts_values_only(pe, body, &frame);
-                        for st in frame.iter_mut() {
-                            st.off += st.doff;
-                        }
-                        v += l.step;
-                    }
-                }
+        let mut v = lo;
+        while v <= hi {
+            if !self.tick(pe) {
+                break;
             }
-            _ => {
-                let mut v = lo;
-                while v <= hi {
-                    if !self.tick(pe) {
-                        break;
-                    }
-                    self.env.set(l.var, v);
-                    self.charge(pe, CycleCategory::LoopOverhead, self.cfg.loop_overhead);
-                    if pipelined {
-                        self.pipeline_steady(pe, l, lo, hi, v);
-                    }
-                    self.exec_cstmts(pe, &body.stmts, &body.slots, &frame);
-                    for st in frame.iter_mut() {
-                        st.off += st.doff;
-                    }
-                    v += l.step;
-                }
+            self.env.set(l.var, v);
+            self.charge(pe, CycleCategory::LoopOverhead, self.cfg.loop_overhead);
+            self.charge(pe, CycleCategory::SchedOverhead, per_iter);
+            if pipelined {
+                self.pipeline_steady(pe, l, lo, hi, v);
             }
+            self.exec_cstmts(pe, &body.stmts, &body.slots, &frame);
+            for st in frame.iter_mut() {
+                st.off += st.doff;
+            }
+            v += l.step;
         }
-        self.env.unset(l.var);
         self.frames.push(frame);
     }
 
@@ -1355,124 +1287,6 @@ impl<'p> Simulator<'p> {
             self.mem.write_private(pe, addr, v);
         }
         self.charge(pe, CycleCategory::FpWork, a.cost);
-    }
-
-    /// Numerics-only sweep of a batched body: all charges were hoisted to
-    /// the loop entry, so only values move here.
-    fn exec_cstmts_values_only(
-        &mut self,
-        pe: usize,
-        body: &CompiledBody<'p>,
-        frame: &[SlotState],
-    ) {
-        for s in &body.stmts {
-            let CStmt::Assign(a) = s else {
-                unreachable!("batched bodies are straight-line assignments")
-            };
-            let n = a.reads.len();
-            let v = if n <= READ_BUF {
-                let mut buf = [0.0f64; READ_BUF];
-                for (dst, r) in buf.iter_mut().zip(&a.reads) {
-                    let addr = self.caddr(r.base, r.slot, &body.slots, frame);
-                    *dst = self.mem.read_private(pe, addr);
-                }
-                a.expr.eval(&buf[..n], &self.env)
-            } else {
-                let mut vals = std::mem::take(&mut self.pes[pe].scratch);
-                vals.clear();
-                for r in &a.reads {
-                    let addr = self.caddr(r.base, r.slot, &body.slots, frame);
-                    vals.push(self.mem.read_private(pe, addr));
-                }
-                let v = a.expr.eval(&vals, &self.env);
-                self.pes[pe].scratch = vals;
-                v
-            };
-            let addr = self.caddr(a.write.base, a.write.slot, &body.slots, frame);
-            self.mem.write_private(pe, addr, v);
-        }
-    }
-
-    /// One iteration of a batched body with every slot recurrence on the
-    /// fast path: addresses are `base + off` directly — no slow-path
-    /// branch, no environment reads outside the expression itself.
-    #[inline]
-    fn exec_values_fast(&mut self, pe: usize, body: &CompiledBody<'p>, frame: &[SlotState]) {
-        for s in &body.stmts {
-            let CStmt::Assign(a) = s else {
-                unreachable!("batched bodies are straight-line assignments")
-            };
-            let mut buf = [0.0f64; READ_BUF];
-            for (dst, r) in buf.iter_mut().zip(&a.reads) {
-                let addr = r.base + frame[r.slot as usize].off as usize;
-                *dst = self.mem.read_private(pe, addr);
-            }
-            let v = a.expr.eval(&buf[..a.reads.len()], &self.env);
-            let addr = a.write.base + frame[a.write.slot as usize].off as usize;
-            self.mem.write_private(pe, addr, v);
-        }
-    }
-
-    /// Direct-threaded sweep of a batched body over its whole iteration
-    /// range. Eligible when no budget needs a per-step check, every slot
-    /// recurrence took the fast path, and every statement's reads fit the
-    /// stack buffer; returns `false` (and executes nothing) otherwise, and
-    /// the caller runs the per-iteration loop.
-    ///
-    /// The sweep hoists the per-iteration `tick` into one `steps += trip`
-    /// (exact: with no budget, `tick` is just that counter), maintains the
-    /// loop variable only when an expression actually reads its value, and
-    /// otherwise runs iterations in fixed-width chunks whose inner loop
-    /// carries only the offset recurrences — the compiler can unroll it.
-    fn exec_batch_sweep(
-        &mut self,
-        pe: usize,
-        l: &'p Loop,
-        lo: i64,
-        trip: i64,
-        body: &CompiledBody<'p>,
-        frame: &mut [SlotState],
-    ) -> bool {
-        const CHUNK: i64 = 8;
-        if self.budgeted
-            || frame.iter().any(|st| !st.fast)
-            || body
-                .stmts
-                .iter()
-                .any(|s| matches!(s, CStmt::Assign(a) if a.reads.len() > READ_BUF))
-        {
-            return false;
-        }
-        self.steps += trip as u64;
-        if body.uses_loop_var {
-            let mut v = lo;
-            for _ in 0..trip {
-                self.env.set(l.var, v);
-                self.exec_values_fast(pe, body, frame);
-                for st in frame.iter_mut() {
-                    st.off += st.doff;
-                }
-                v += l.step;
-            }
-            return true;
-        }
-        let mut left = trip;
-        while left >= CHUNK {
-            for _ in 0..CHUNK {
-                self.exec_values_fast(pe, body, frame);
-                for st in frame.iter_mut() {
-                    st.off += st.doff;
-                }
-            }
-            left -= CHUNK;
-        }
-        for _ in 0..left {
-            self.exec_values_fast(pe, body, frame);
-            for st in frame.iter_mut() {
-                st.off += st.doff;
-            }
-        }
-        true
     }
 
     fn exec_assign(&mut self, pe: usize, a: &'p Assign) {

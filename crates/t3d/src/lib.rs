@@ -58,7 +58,7 @@ mod cache;
 pub mod coherence;
 /// Loop-body pre-compilation. Hidden from the public API surface: only
 /// [`compiled::CExpr`] is exported, so the `dispatch` microbench can pit
-/// the direct-threaded evaluator against the postfix stack machine.
+/// the postfix evaluator against the tree walk.
 #[doc(hidden)]
 pub mod compiled;
 mod config;

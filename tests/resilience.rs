@@ -28,6 +28,31 @@ fn runaway() -> Program {
     pb.finish().expect("runaway program is structurally valid")
 }
 
+/// Two-billion-iteration loops that touch only private data, in both
+/// places a loop body runs on one PE: a DOALL's own range, and a serial
+/// loop nested in a DOALL.
+fn private_runaways() -> [(&'static str, Program); 2] {
+    let mut pb = ProgramBuilder::new("private-doall-runaway");
+    let t = pb.private("T", &[8]);
+    pb.parallel_epoch("spin", |e| {
+        e.doall("i", 0, 2_000_000_000, |e, _i| {
+            e.assign(t.at1(0), t.at1(1).rd() * 2.0);
+        });
+    });
+    let doall = pb.finish().expect("runaway program is structurally valid");
+    let mut pb = ProgramBuilder::new("private-nested-runaway");
+    let t = pb.private("T", &[8]);
+    pb.parallel_epoch("spin", |e| {
+        e.doall("i", 0, 1, |e, i| {
+            e.serial("j", 0, 2_000_000_000, |e, _j| {
+                e.assign(t.at1(i), t.at1(i).rd() * 2.0);
+            });
+        });
+    });
+    let nested = pb.finish().expect("runaway program is structurally valid");
+    [("doall", doall), ("nested", nested)]
+}
+
 #[test]
 fn budget_terminates_runaway_under_both_interpreters() {
     let p = runaway();
@@ -59,6 +84,23 @@ fn budget_terminates_runaway_under_both_interpreters() {
             }
             other => panic!("expected BudgetExceeded on step budget, got ok={}", other.is_ok()),
         }
+    }
+    // Private-only bodies charge per iteration on the compiled path too,
+    // so both interpreters abort at the same PE, cycle and step.
+    for (name, p) in private_runaways() {
+        let abort = |force_treewalk: bool| {
+            let mut cfg = PipelineConfig::t3d(2);
+            cfg.sim.force_treewalk = force_treewalk;
+            cfg.sim.cycle_budget = Some(1_000_000);
+            match cfg.run(&p, Scheme::Base) {
+                Err(PipelineError::BudgetExceeded { pe, cycles, steps }) => (pe, cycles, steps),
+                Ok(_) => panic!("{name}: private runaway finished under a 1M-cycle budget"),
+                Err(other) => panic!("{name}: expected BudgetExceeded, got: {other}"),
+            }
+        };
+        let (compiled, treewalk) = (abort(false), abort(true));
+        assert_eq!(compiled, treewalk, "{name}: (pe, cycles, steps)");
+        assert!(compiled.1 < 2_000_000, "{name}: abort past the budget: {compiled:?}");
     }
 }
 
