@@ -1,11 +1,16 @@
-//! Direct-mapped data cache with per-word versions and fill timestamps.
+//! Direct-mapped data cache with per-word versions, fill timestamps and
+//! per-line protocol state.
 
 /// A direct-mapped cache over the shared word address space.
 ///
 /// Every line records, besides tag and data, (a) the memory **version** of
-/// each word at fill time — consumed by the coherence oracle — and (b) the
+/// each word at fill time — consumed by the coherence oracle — (b) the
 /// **phase** (barrier interval) and **ready cycle** of the fill — consumed
-/// by the `Fresh` read handling and the prefetch timing model.
+/// by the `Fresh` read handling and the prefetch timing model — and (c) the
+/// hardware protocol's **state** — consumed by the MESI and Dragon
+/// backends. Invalid is "not resident": a conflicting install or an
+/// invalidation drops the state with the line, so eviction needs no
+/// bookkeeping anywhere else.
 ///
 /// `Clone` exists for the epoch-sharded parallel path: each worker clones
 /// the caches of the PEs in its block and the merged clones replace the
@@ -14,17 +19,42 @@
 pub struct Cache {
     n_lines: usize,
     line_words: usize,
-    tags: Vec<u64>,
-    valid: Vec<bool>,
-    filled_phase: Vec<u32>,
-    ready_at: Vec<u64>,
+    lines: Vec<Line>,
     values: Vec<f64>,
     versions: Vec<u32>,
-    /// Line was installed by a prefetch (line or vector), not a demand fill
-    /// — consumed by the prefetch accuracy/timeliness metrics.
-    prefetched: Vec<bool>,
     /// Word has been read since its line was installed.
     used: Vec<bool>,
+}
+
+/// Per-line metadata.
+#[derive(Clone, Copy, Default)]
+struct Line {
+    tag: u64,
+    ready_at: u64,
+    filled_phase: u32,
+    valid: bool,
+    /// Installed by a prefetch (line or vector), not a demand fill —
+    /// consumed by the prefetch accuracy/timeliness metrics.
+    prefetched: bool,
+    state: LineState,
+}
+
+/// Hardware-protocol state of a resident line. One set covers both
+/// protocols: MESI uses Exclusive, Shared and Modified (its S is Dragon's
+/// Sc); Dragon adds SharedModified. An install starts a line Exclusive;
+/// the hardware backends set the protocol's state right after their fill,
+/// and the software schemes never read it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum LineState {
+    /// Clean, no other copies.
+    #[default]
+    Exclusive,
+    /// Clean, possibly shared.
+    Shared,
+    /// Dragon only: shared, and this cache last wrote the line.
+    SharedModified,
+    /// Dirty, no other copies.
+    Modified,
 }
 
 /// Result of a lookup.
@@ -33,6 +63,7 @@ pub struct Hit {
     pub line: usize,
     pub filled_phase: u32,
     pub ready_at: u64,
+    pub state: LineState,
 }
 
 impl Cache {
@@ -41,13 +72,9 @@ impl Cache {
         Cache {
             n_lines,
             line_words,
-            tags: vec![0; n_lines],
-            valid: vec![false; n_lines],
-            filled_phase: vec![0; n_lines],
-            ready_at: vec![0; n_lines],
+            lines: vec![Line::default(); n_lines],
             values: vec![0.0; n_lines * line_words],
             versions: vec![0; n_lines * line_words],
-            prefetched: vec![false; n_lines],
             used: vec![false; n_lines * line_words],
         }
     }
@@ -73,10 +100,12 @@ impl Cache {
     pub fn lookup(&self, addr: usize) -> Option<Hit> {
         let la = self.line_addr(addr);
         let idx = self.index_of(la);
-        (self.valid[idx] && self.tags[idx] == la).then(|| Hit {
+        let l = &self.lines[idx];
+        (l.valid && l.tag == la).then_some(Hit {
             line: idx,
-            filled_phase: self.filled_phase[idx],
-            ready_at: self.ready_at[idx],
+            filled_phase: l.filled_phase,
+            ready_at: l.ready_at,
+            state: l.state,
         })
     }
 
@@ -125,11 +154,14 @@ impl Cache {
     ) -> usize {
         let la = self.line_addr(addr);
         let idx = self.index_of(la);
-        self.tags[idx] = la;
-        self.valid[idx] = true;
-        self.filled_phase[idx] = phase;
-        self.ready_at[idx] = ready_at;
-        self.prefetched[idx] = prefetched;
+        self.lines[idx] = Line {
+            tag: la,
+            ready_at,
+            filled_phase: phase,
+            valid: true,
+            prefetched,
+            state: LineState::default(),
+        };
         let base = idx * self.line_words;
         let mut n = 0;
         for (k, (v, ver)) in words.enumerate() {
@@ -142,10 +174,16 @@ impl Cache {
         idx
     }
 
+    /// Set the protocol state of a (present) line.
+    #[inline]
+    pub fn set_state(&mut self, line: usize, state: LineState) {
+        self.lines[line].state = state;
+    }
+
     /// Was this (present) line installed by a prefetch?
     #[inline]
     pub fn is_prefetched(&self, line: usize) -> bool {
-        self.prefetched[line]
+        self.lines[line].prefetched
     }
 
     /// Record that `addr` in `line` was consumed; true on the first read of
@@ -167,28 +205,13 @@ impl Cache {
         }
     }
 
-    /// Line address of whatever valid line currently occupies the slot
-    /// `addr` maps to — the line a conflicting install would evict. Used by
-    /// the hardware-coherence backends to keep their state maps in lockstep
-    /// with cache residency.
-    #[inline]
-    pub fn resident_line(&self, addr: usize) -> Option<u64> {
-        let idx = self.index_of(self.line_addr(addr));
-        self.valid[idx].then(|| self.tags[idx])
-    }
-
-    /// Invalidate the line containing `addr` (failure-injection tests).
+    /// Invalidate the line containing `addr`, if present: a MESI snoop
+    /// killing a remote copy, or an injected early eviction of a prefetched
+    /// line. The line's protocol state goes with it.
     pub fn invalidate(&mut self, addr: usize) {
-        let la = self.line_addr(addr);
-        let idx = self.index_of(la);
-        if self.valid[idx] && self.tags[idx] == la {
-            self.valid[idx] = false;
+        if let Some(h) = self.lookup(addr) {
+            self.lines[h.line].valid = false;
         }
-    }
-
-    /// Drop everything.
-    pub fn invalidate_all(&mut self) {
-        self.valid.iter_mut().for_each(|v| *v = false);
     }
 
     /// First word address of the line containing `addr`.
@@ -270,7 +293,5 @@ mod unit {
         c.invalidate(1);
         assert!(c.lookup(0).is_none());
         assert!(c.lookup(4).is_some());
-        c.invalidate_all();
-        assert!(c.lookup(4).is_none());
     }
 }

@@ -1,11 +1,12 @@
 //! Property test: the direct-mapped cache against a naive reference model.
 
-use super::Cache;
+use super::{Cache, LineState};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 /// Reference model: direct-mapped eviction emulated by keying on the index.
-type RefLine = (u64, u32, u64, Vec<f64>, Vec<u32>);
+/// A line's protocol state lives in its entry, so it leaves with the line.
+type RefLine = (u64, u32, u64, Vec<f64>, Vec<u32>, LineState);
 
 struct RefModel {
     lines: HashMap<usize, RefLine>,
@@ -26,23 +27,33 @@ impl RefModel {
         let la = (addr / self.line_words) as u64;
         let vals: Vec<f64> = (0..self.line_words).map(|k| base_val + k as f64).collect();
         let vers: Vec<u32> = (0..self.line_words).map(|k| k as u32 + 1).collect();
-        self.lines.insert(self.index(la), (la, phase, ready, vals, vers));
+        self.lines.insert(self.index(la), (la, phase, ready, vals, vers, LineState::Exclusive));
     }
 
-    fn lookup(&self, addr: usize) -> Option<(u32, u64, f64, u32)> {
+    fn lookup(&self, addr: usize) -> Option<(u32, u64, f64, u32, LineState)> {
         let la = (addr / self.line_words) as u64;
-        let (tag, phase, ready, vals, vers) = self.lines.get(&self.index(la))?;
+        let (tag, phase, ready, vals, vers, state) = self.lines.get(&self.index(la))?;
         if *tag != la {
             return None;
         }
         let off = addr % self.line_words;
-        Some((*phase, *ready, vals[off], vers[off]))
+        Some((*phase, *ready, vals[off], vers[off], *state))
+    }
+
+    fn set_state(&mut self, addr: usize, st: LineState) {
+        let la = (addr / self.line_words) as u64;
+        let idx = self.index(la);
+        if let Some((tag, .., state)) = self.lines.get_mut(&idx) {
+            if *tag == la {
+                *state = st;
+            }
+        }
     }
 
     fn update(&mut self, addr: usize, v: f64, ver: u32) {
         let la = (addr / self.line_words) as u64;
         let idx = self.index(la);
-        if let Some((tag, _, _, vals, vers)) = self.lines.get_mut(&idx) {
+        if let Some((tag, _, _, vals, vers, _)) = self.lines.get_mut(&idx) {
             if *tag == la {
                 let off = addr % self.line_words;
                 vals[off] = v;
@@ -65,7 +76,17 @@ enum Op {
     Install { addr: usize, phase: u32, ready: u64, base: u32 },
     Update { addr: usize, val: u32, ver: u32 },
     Invalidate { addr: usize },
+    SetState { addr: usize, state: LineState },
     Lookup { addr: usize },
+}
+
+fn arb_state() -> impl Strategy<Value = LineState> {
+    prop_oneof![
+        Just(LineState::Exclusive),
+        Just(LineState::Shared),
+        Just(LineState::SharedModified),
+        Just(LineState::Modified),
+    ]
 }
 
 fn arb_op(space: usize) -> impl Strategy<Value = Op> {
@@ -76,6 +97,7 @@ fn arb_op(space: usize) -> impl Strategy<Value = Op> {
         (0..space, 0u32..100, 1u32..20)
             .prop_map(|(addr, val, ver)| Op::Update { addr, val, ver }),
         (0..space).prop_map(|addr| Op::Invalidate { addr }),
+        (0..space, arb_state()).prop_map(|(addr, state)| Op::SetState { addr, state }),
         (0..space).prop_map(|addr| Op::Lookup { addr }),
     ]
 }
@@ -104,10 +126,16 @@ proptest! {
                     cache.invalidate(addr);
                     model.invalidate(addr);
                 }
+                Op::SetState { addr, state } => {
+                    if let Some(h) = cache.lookup(addr) {
+                        cache.set_state(h.line, state);
+                    }
+                    model.set_state(addr, state);
+                }
                 Op::Lookup { addr } => {
                     let got = cache.lookup(addr).map(|h| {
                         let (v, ver) = cache.read(h.line, addr);
-                        (h.filled_phase, h.ready_at, v, ver)
+                        (h.filled_phase, h.ready_at, v, ver, h.state)
                     });
                     prop_assert_eq!(got, model.lookup(addr), "addr {}", addr);
                 }

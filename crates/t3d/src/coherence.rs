@@ -10,8 +10,9 @@
 //! trace can specialize them into [`crate::compiled::AccessKind`] at
 //! compile time (the `compiled_equivalence` property test pins the two
 //! paths together). The hardware schemes (MESI / Dragon) are *dynamic*
-//! backends: they carry per-PE line-state machines and a snooping-bus
-//! model, and both execution paths dispatch them through the trait
+//! backends: they run a line-state machine over the state each cache line
+//! carries ([`LineState`]) plus a snooping-bus model, and both execution
+//! paths dispatch them through the trait
 //! ([`crate::compiled::AccessKind::Hardware`]).
 //!
 //! # Hardware backends: data model
@@ -56,10 +57,9 @@
 //! `ccdp-lint`'s phase-race detection verifies) observe identical values
 //! either way, and all effects have landed by the barrier.
 
-use std::collections::HashMap;
-
 use ccdp_ir::RefId;
 
+use crate::cache::LineState;
 use crate::interp::Simulator;
 use crate::metrics::{CycleCategory, TraceEventKind};
 use crate::Scheme;
@@ -320,57 +320,30 @@ impl Bus {
 
 // -- MESI ------------------------------------------------------------------
 
-/// MESI line states. Invalid is represented by absence (the state map is
-/// kept in lockstep with cache residency).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MesiState {
-    Modified,
-    Exclusive,
-    Shared,
-}
-
 /// Snooping MESI (invalidate-based) hardware coherence.
 ///
-/// Transactions: read miss → `BusRd` (install Shared if any other cache
-/// holds the line, else Exclusive; remote Modified/Exclusive copies
-/// downgrade to Shared); write to a Shared line → `BusUpgr` (invalidate
-/// every remote copy, go Modified); write miss → `BusRdX` (invalidate,
-/// fill, go Modified); write to Exclusive → Modified silently.
+/// Line states live in each cache line ([`LineState`]; Invalid is "not
+/// resident"). Transactions: read miss → `BusRd` (install Shared if any
+/// other cache holds the line, else Exclusive; remote Modified/Exclusive
+/// copies downgrade to Shared); write to a Shared line → `BusUpgr`
+/// (invalidate every remote copy, go Modified); write miss → `BusRdX`
+/// (invalidate, fill, go Modified); write to Exclusive → Modified silently.
 pub(crate) struct Mesi {
     bus: Bus,
-    /// Per-PE line-address → state. An entry exists iff the cache holds
-    /// the line (installs and invalidations maintain this in lockstep).
-    states: Vec<HashMap<u64, MesiState>>,
 }
 
 impl Mesi {
     pub(crate) fn new(n_pes: usize) -> Mesi {
-        Mesi { bus: Bus::new(n_pes), states: (0..n_pes).map(|_| HashMap::new()).collect() }
-    }
-
-    /// Remove the state entry of whatever line currently occupies `addr`'s
-    /// cache slot on `pe` (about to be evicted by a conflicting install).
-    fn purge_conflict(&mut self, sim: &Simulator, pe: usize, addr: usize) {
-        let incoming = sim.pes[pe].cache.line_addr(addr);
-        if let Some(old) = sim.pes[pe].cache.resident_line(addr) {
-            if old != incoming {
-                self.states[pe].remove(&old);
-            }
-        }
+        Mesi { bus: Bus::new(n_pes) }
     }
 
     /// Invalidate every remote copy of `addr`'s line (BusUpgr / BusRdX
     /// snoop effect). Returns how many copies were killed.
-    fn invalidate_others(&mut self, sim: &mut Simulator, pe: usize, addr: usize) -> u64 {
-        let line = sim.pes[pe].cache.line_addr(addr);
+    fn invalidate_others(sim: &mut Simulator, pe: usize, addr: usize) -> u64 {
         let mut n = 0;
         for other in 0..sim.cfg.n_pes {
-            if other == pe {
-                continue;
-            }
-            if sim.pes[other].cache.lookup(addr).is_some() {
+            if other != pe && sim.pes[other].cache.lookup(addr).is_some() {
                 sim.pes[other].cache.invalidate(addr);
-                self.states[other].remove(&line);
                 n += 1;
             }
         }
@@ -383,25 +356,18 @@ impl Mesi {
 
     /// Snoop a BusRd: downgrade every remote Modified/Exclusive copy to
     /// Shared. Returns whether any other cache holds the line.
-    fn snoop_read(&mut self, sim: &Simulator, pe: usize, addr: usize) -> bool {
-        let line = sim.pes[pe].cache.line_addr(addr);
+    fn snoop_read(sim: &mut Simulator, pe: usize, addr: usize) -> bool {
         let mut shared = false;
         for other in 0..sim.cfg.n_pes {
             if other == pe {
                 continue;
             }
-            if sim.pes[other].cache.lookup(addr).is_some() {
+            if let Some(h) = sim.pes[other].cache.lookup(addr) {
                 shared = true;
-                self.states[other].insert(line, MesiState::Shared);
+                sim.pes[other].cache.set_state(h.line, LineState::Shared);
             }
         }
         shared
-    }
-
-    fn state_of(&self, sim: &Simulator, pe: usize, addr: usize) -> Option<MesiState> {
-        sim.pes[pe].cache.lookup(addr)?;
-        let line = sim.pes[pe].cache.line_addr(addr);
-        self.states[pe].get(&line).copied()
     }
 }
 
@@ -423,12 +389,10 @@ impl CoherenceBackend for Mesi {
         }
         // Read miss: BusRd.
         self.bus.transaction(sim, pe);
-        let shared = self.snoop_read(sim, pe, addr);
-        self.purge_conflict(sim, pe, addr);
-        sim.hw_fill(pe, addr);
-        let line = sim.pes[pe].cache.line_addr(addr);
-        let st = if shared { MesiState::Shared } else { MesiState::Exclusive };
-        self.states[pe].insert(line, st);
+        let shared = Self::snoop_read(sim, pe, addr);
+        let line = sim.demand_fill(pe, addr);
+        let st = if shared { LineState::Shared } else { LineState::Exclusive };
+        sim.pes[pe].cache.set_state(line, st);
         sim.mem.read_shared(addr).0
     }
 
@@ -440,114 +404,81 @@ impl CoherenceBackend for Mesi {
         _craft_local: u64,
         value: f64,
     ) {
-        let line = sim.pes[pe].cache.line_addr(addr);
-        match self.state_of(sim, pe, addr) {
-            Some(MesiState::Modified) => {}
-            Some(MesiState::Exclusive) => {
-                // Silent upgrade: no bus traffic.
-                self.states[pe].insert(line, MesiState::Modified);
-            }
-            Some(MesiState::Shared) => {
+        let line = match sim.pes[pe].cache.lookup(addr).map(|h| (h.line, h.state)) {
+            // Exclusive → Modified is a silent upgrade: no bus traffic.
+            Some((line, LineState::Modified | LineState::Exclusive)) => line,
+            Some((line, _)) => {
                 // BusUpgr: kill every remote copy, then own the line.
                 self.bus.transaction(sim, pe);
-                self.invalidate_others(sim, pe, addr);
-                self.states[pe].insert(line, MesiState::Modified);
+                Self::invalidate_others(sim, pe, addr);
+                line
             }
             None => {
                 // Write miss: BusRdX (read-for-ownership).
                 self.bus.transaction(sim, pe);
-                self.invalidate_others(sim, pe, addr);
-                self.purge_conflict(sim, pe, addr);
-                sim.hw_fill(pe, addr);
-                self.states[pe].insert(line, MesiState::Modified);
+                Self::invalidate_others(sim, pe, addr);
+                sim.demand_fill(pe, addr)
             }
-        }
+        };
+        sim.pes[pe].cache.set_state(line, LineState::Modified);
         sim.hw_store(pe, addr, value);
     }
 }
 
 // -- Dragon ----------------------------------------------------------------
 
-/// Dragon line states (no Invalid in the write path: writes update remote
-/// copies instead of killing them). Absence = not cached.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum DragonState {
-    /// Exclusive clean.
-    Exclusive,
-    /// Shared clean.
-    SharedClean,
-    /// Shared modified: this cache last wrote the (shared) line.
-    SharedModified,
-    /// Modified, no other copies.
-    Modified,
-}
-
 /// Dragon (update-based) hardware coherence.
 ///
-/// Read miss → `BusRd` (Exclusive if nobody else holds the line, else
-/// SharedClean; a remote Modified owner downgrades to SharedModified).
-/// Write to a shared line → `BusUpd`: every remote copy is patched in
-/// place (and downgraded to SharedClean); the writer becomes SharedModified
-/// — or Modified when the snoop finds no sharers left. Write to
-/// Exclusive/Modified is bus-silent.
+/// Line states live in each cache line ([`LineState`]: Exclusive, Shared
+/// clean, SharedModified, Modified; not resident = not cached — writes
+/// update remote copies instead of killing them). Read miss → `BusRd`
+/// (Exclusive if nobody else holds the line, else Shared; a remote
+/// Modified owner downgrades to SharedModified). Write to a shared line →
+/// `BusUpd`: every remote copy is patched in place (and downgraded to
+/// Shared); the writer becomes SharedModified — or Modified when the snoop
+/// finds no sharers left. Write to Exclusive/Modified is bus-silent.
 pub(crate) struct Dragon {
     bus: Bus,
-    states: Vec<HashMap<u64, DragonState>>,
 }
 
 impl Dragon {
     pub(crate) fn new(n_pes: usize) -> Dragon {
-        Dragon { bus: Bus::new(n_pes), states: (0..n_pes).map(|_| HashMap::new()).collect() }
+        Dragon { bus: Bus::new(n_pes) }
     }
 
-    fn purge_conflict(&mut self, sim: &Simulator, pe: usize, addr: usize) {
-        let incoming = sim.pes[pe].cache.line_addr(addr);
-        if let Some(old) = sim.pes[pe].cache.resident_line(addr) {
-            if old != incoming {
-                self.states[pe].remove(&old);
-            }
-        }
+    /// Does any PE other than `pe` hold `addr`'s line?
+    fn others_hold(sim: &Simulator, pe: usize, addr: usize) -> bool {
+        (0..sim.cfg.n_pes).any(|other| other != pe && sim.pes[other].cache.lookup(addr).is_some())
     }
 
-    /// PEs other than `pe` holding `addr`'s line.
-    fn sharers(&self, sim: &Simulator, pe: usize, addr: usize) -> Vec<usize> {
-        (0..sim.cfg.n_pes)
-            .filter(|&other| other != pe && sim.pes[other].cache.lookup(addr).is_some())
-            .collect()
-    }
-
-    fn state_of(&self, sim: &Simulator, pe: usize, addr: usize) -> Option<DragonState> {
-        sim.pes[pe].cache.lookup(addr)?;
-        let line = sim.pes[pe].cache.line_addr(addr);
-        self.states[pe].get(&line).copied()
-    }
-
-    /// BusUpd: patch every sharer's copy of `addr` with the freshly written
-    /// word and settle the writer's state (SharedModified while sharers
-    /// remain, Modified otherwise). The write itself (memory + own cache)
-    /// has already happened via `hw_store`.
+    /// BusUpd: patch every other holder's copy of `addr` with the freshly
+    /// written word and settle the writer's state (SharedModified while
+    /// sharers remain, Modified otherwise). The write itself (memory + own
+    /// cache) has already happened via `hw_store`.
     fn bus_update(
-        &mut self,
         sim: &mut Simulator,
         pe: usize,
+        line: usize,
         addr: usize,
-        sharers: &[usize],
         value: f64,
         version: u32,
     ) {
-        let line = sim.pes[pe].cache.line_addr(addr);
-        for &other in sharers {
-            sim.pes[other].cache.update_word(addr, value, version);
-            self.states[other].insert(line, DragonState::SharedClean);
+        let mut n = 0;
+        for other in 0..sim.cfg.n_pes {
+            if other == pe {
+                continue;
+            }
+            let cache = &mut sim.pes[other].cache;
+            if let Some(h) = cache.lookup(addr) {
+                cache.update_word(addr, value, version);
+                cache.set_state(h.line, LineState::Shared);
+                n += 1;
+            }
         }
-        sim.pes[pe].stats.bus_updates += sharers.len() as u64;
+        sim.pes[pe].stats.bus_updates += n;
         sim.trace_event(pe, TraceEventKind::BusUpdate, addr);
-        let st = if sharers.is_empty() {
-            DragonState::Modified
-        } else {
-            DragonState::SharedModified
-        };
-        self.states[pe].insert(line, st);
+        let st = if n == 0 { LineState::Modified } else { LineState::SharedModified };
+        sim.pes[pe].cache.set_state(line, st);
     }
 }
 
@@ -570,24 +501,25 @@ impl CoherenceBackend for Dragon {
         // Read miss: BusRd. Remote exclusive holders downgrade to shared
         // (a Modified owner keeps write responsibility as SharedModified).
         self.bus.transaction(sim, pe);
-        let line = sim.pes[pe].cache.line_addr(addr);
         let mut shared = false;
         for other in 0..sim.cfg.n_pes {
-            if other == pe || sim.pes[other].cache.lookup(addr).is_none() {
+            if other == pe {
                 continue;
             }
-            shared = true;
-            let e = self.states[other].entry(line).or_insert(DragonState::SharedClean);
-            *e = match *e {
-                DragonState::Modified => DragonState::SharedModified,
-                DragonState::Exclusive => DragonState::SharedClean,
-                s => s,
-            };
+            let cache = &mut sim.pes[other].cache;
+            if let Some(h) = cache.lookup(addr) {
+                shared = true;
+                let st = match h.state {
+                    LineState::Modified => LineState::SharedModified,
+                    LineState::Exclusive => LineState::Shared,
+                    s => s,
+                };
+                cache.set_state(h.line, st);
+            }
         }
-        self.purge_conflict(sim, pe, addr);
-        sim.hw_fill(pe, addr);
-        let st = if shared { DragonState::SharedClean } else { DragonState::Exclusive };
-        self.states[pe].insert(line, st);
+        let line = sim.demand_fill(pe, addr);
+        let st = if shared { LineState::Shared } else { LineState::Exclusive };
+        sim.pes[pe].cache.set_state(line, st);
         sim.mem.read_shared(addr).0
     }
 
@@ -599,36 +531,33 @@ impl CoherenceBackend for Dragon {
         _craft_local: u64,
         value: f64,
     ) {
-        let line = sim.pes[pe].cache.line_addr(addr);
-        match self.state_of(sim, pe, addr) {
-            Some(DragonState::Modified) => {
+        match sim.pes[pe].cache.lookup(addr).map(|h| (h.line, h.state)) {
+            Some((_, LineState::Modified)) => {
                 sim.hw_store(pe, addr, value);
             }
-            Some(DragonState::Exclusive) => {
-                self.states[pe].insert(line, DragonState::Modified);
+            Some((line, LineState::Exclusive)) => {
+                sim.pes[pe].cache.set_state(line, LineState::Modified);
                 sim.hw_store(pe, addr, value);
             }
-            Some(DragonState::SharedClean) | Some(DragonState::SharedModified) => {
+            Some((line, _)) => {
                 // BusUpd (the snoop also reveals whether sharers remain).
                 self.bus.transaction(sim, pe);
-                let sharers = self.sharers(sim, pe, addr);
                 let ver = sim.hw_store(pe, addr, value);
-                self.bus_update(sim, pe, addr, &sharers, value, ver);
+                Self::bus_update(sim, pe, line, addr, value, ver);
             }
             None => {
                 // Write miss: fill first (BusRd), then update sharers if
                 // the snoop found any.
                 self.bus.transaction(sim, pe);
-                let sharers = self.sharers(sim, pe, addr);
-                self.purge_conflict(sim, pe, addr);
-                sim.hw_fill(pe, addr);
-                if sharers.is_empty() {
-                    self.states[pe].insert(line, DragonState::Modified);
-                    sim.hw_store(pe, addr, value);
-                } else {
+                let shared = Self::others_hold(sim, pe, addr);
+                let line = sim.demand_fill(pe, addr);
+                if shared {
                     self.bus.transaction(sim, pe);
                     let ver = sim.hw_store(pe, addr, value);
-                    self.bus_update(sim, pe, addr, &sharers, value, ver);
+                    Self::bus_update(sim, pe, line, addr, value, ver);
+                } else {
+                    sim.pes[pe].cache.set_state(line, LineState::Modified);
+                    sim.hw_store(pe, addr, value);
                 }
             }
         }
@@ -653,6 +582,12 @@ mod unit {
         pb.finish().unwrap()
     }
 
+    /// The protocol state of `pe`'s copy of `addr`'s line; `None` when the
+    /// line is not resident (Invalid).
+    fn state_of(sim: &Simulator, pe: usize, addr: usize) -> Option<LineState> {
+        sim.pes[pe].cache.lookup(addr).map(|h| h.state)
+    }
+
     fn sim_for(p: &Program, scheme: Scheme) -> Simulator<'_> {
         let layout = Layout::new(p, 2);
         let cfg = MachineConfig::t3d(2);
@@ -669,11 +604,11 @@ mod unit {
         let rid = RefId(0);
         // PE 0 read miss: nobody else caches the line → Exclusive.
         m.read_shared(&mut sim, 0, rid, 0, 0);
-        assert_eq!(m.state_of(&sim, 0, 0), Some(MesiState::Exclusive));
+        assert_eq!(state_of(&sim, 0, 0), Some(LineState::Exclusive));
         // PE 1 reads the same line: both go Shared.
         m.read_shared(&mut sim, 1, rid, 0, 0);
-        assert_eq!(m.state_of(&sim, 0, 0), Some(MesiState::Shared));
-        assert_eq!(m.state_of(&sim, 1, 0), Some(MesiState::Shared));
+        assert_eq!(state_of(&sim, 0, 0), Some(LineState::Shared));
+        assert_eq!(state_of(&sim, 1, 0), Some(LineState::Shared));
         assert_eq!(sim.pes[0].stats.bus_txns + sim.pes[1].stats.bus_txns, 2);
     }
 
@@ -687,8 +622,8 @@ mod unit {
         m.read_shared(&mut sim, 1, rid, 0, 0);
         // PE 0 writes a Shared line: BusUpgr kills PE 1's copy.
         m.write_shared(&mut sim, 0, 0, 0, 7.0);
-        assert_eq!(m.state_of(&sim, 0, 0), Some(MesiState::Modified));
-        assert_eq!(m.state_of(&sim, 1, 0), None, "remote copy invalidated");
+        assert_eq!(state_of(&sim, 0, 0), Some(LineState::Modified));
+        assert_eq!(state_of(&sim, 1, 0), None, "remote copy invalidated");
         assert!(sim.pes[1].cache.lookup(0).is_none());
         assert_eq!(sim.pes[0].stats.bus_invalidations, 1);
         // A second write to the now-Modified line is bus-silent.
@@ -697,10 +632,10 @@ mod unit {
         assert_eq!(sim.pes[0].stats.bus_txns, txns);
         // Exclusive → Modified is silent too.
         m.read_shared(&mut sim, 1, rid, 8, 0);
-        assert_eq!(m.state_of(&sim, 1, 8), Some(MesiState::Exclusive));
+        assert_eq!(state_of(&sim, 1, 8), Some(LineState::Exclusive));
         let txns = sim.pes[1].stats.bus_txns;
         m.write_shared(&mut sim, 1, 8, 0, 1.0);
-        assert_eq!(m.state_of(&sim, 1, 8), Some(MesiState::Modified));
+        assert_eq!(state_of(&sim, 1, 8), Some(LineState::Modified));
         assert_eq!(sim.pes[1].stats.bus_txns, txns);
     }
 
@@ -713,8 +648,8 @@ mod unit {
         m.read_shared(&mut sim, 1, rid, 0, 0);
         // PE 0 write miss: BusRdX invalidates PE 1 and installs Modified.
         m.write_shared(&mut sim, 0, 0, 0, 3.5);
-        assert_eq!(m.state_of(&sim, 0, 0), Some(MesiState::Modified));
-        assert_eq!(m.state_of(&sim, 1, 0), None);
+        assert_eq!(state_of(&sim, 0, 0), Some(LineState::Modified));
+        assert_eq!(state_of(&sim, 1, 0), None);
         // The readback sees the new value, version-current (oracle-clean).
         let v = m.read_shared(&mut sim, 0, rid, 0, 0);
         assert_eq!(v, 3.5);
@@ -728,13 +663,13 @@ mod unit {
         let mut d = Dragon::new(2);
         let rid = RefId(0);
         d.read_shared(&mut sim, 0, rid, 0, 0);
-        assert_eq!(d.state_of(&sim, 0, 0), Some(DragonState::Exclusive));
+        assert_eq!(state_of(&sim, 0, 0), Some(LineState::Exclusive));
         d.read_shared(&mut sim, 1, rid, 0, 0);
-        assert_eq!(d.state_of(&sim, 0, 0), Some(DragonState::SharedClean));
+        assert_eq!(state_of(&sim, 0, 0), Some(LineState::Shared));
         // PE 0 writes: BusUpd patches PE 1's copy instead of killing it.
         d.write_shared(&mut sim, 0, 0, 0, 9.25);
-        assert_eq!(d.state_of(&sim, 0, 0), Some(DragonState::SharedModified));
-        assert_eq!(d.state_of(&sim, 1, 0), Some(DragonState::SharedClean));
+        assert_eq!(state_of(&sim, 0, 0), Some(LineState::SharedModified));
+        assert_eq!(state_of(&sim, 1, 0), Some(LineState::Shared));
         assert!(sim.pes[1].cache.lookup(0).is_some(), "copy survives");
         assert_eq!(sim.pes[0].stats.bus_updates, 1);
         // PE 1 reads its patched copy: current value, no stale read.
@@ -751,17 +686,17 @@ mod unit {
         let rid = RefId(0);
         // PE 0 write miss with no sharers → Modified.
         d.write_shared(&mut sim, 0, 0, 0, 2.0);
-        assert_eq!(d.state_of(&sim, 0, 0), Some(DragonState::Modified));
+        assert_eq!(state_of(&sim, 0, 0), Some(LineState::Modified));
         // PE 1 reads: owner goes SharedModified, reader SharedClean.
         let v = d.read_shared(&mut sim, 1, rid, 0, 0);
         assert_eq!(v, 2.0);
-        assert_eq!(d.state_of(&sim, 0, 0), Some(DragonState::SharedModified));
-        assert_eq!(d.state_of(&sim, 1, 0), Some(DragonState::SharedClean));
+        assert_eq!(state_of(&sim, 0, 0), Some(LineState::SharedModified));
+        assert_eq!(state_of(&sim, 1, 0), Some(LineState::Shared));
         // PE 1 now writes: BusUpd; PE 1 becomes the SharedModified owner
         // and PE 0's copy downgrades to SharedClean, patched in place.
         d.write_shared(&mut sim, 1, 0, 0, 4.0);
-        assert_eq!(d.state_of(&sim, 1, 0), Some(DragonState::SharedModified));
-        assert_eq!(d.state_of(&sim, 0, 0), Some(DragonState::SharedClean));
+        assert_eq!(state_of(&sim, 1, 0), Some(LineState::SharedModified));
+        assert_eq!(state_of(&sim, 0, 0), Some(LineState::Shared));
         let v = d.read_shared(&mut sim, 0, rid, 0, 0);
         assert_eq!(v, 4.0);
         assert_eq!(sim.oracle.stale_reads, 0);
@@ -776,33 +711,59 @@ mod unit {
         d.read_shared(&mut sim, 0, rid, 0, 0);
         let txns = sim.pes[0].stats.bus_txns;
         d.write_shared(&mut sim, 0, 0, 0, 1.0);
-        assert_eq!(d.state_of(&sim, 0, 0), Some(DragonState::Modified));
+        assert_eq!(state_of(&sim, 0, 0), Some(LineState::Modified));
         assert_eq!(sim.pes[0].stats.bus_txns, txns, "E→M write is bus-silent");
         assert_eq!(sim.pes[0].stats.bus_updates, 0);
     }
 
+    /// A program whose shared array spans two addresses mapping to one
+    /// direct-mapped slot: line count 256, line words 4 → stride 1024 words.
+    fn conflict_fixture() -> Program {
+        let mut pb = ProgramBuilder::new("big");
+        let a = pb.shared("A", &[4096]);
+        pb.serial_epoch("touch", |e| {
+            e.assign(a.at1(0), a.at1(0).rd() + 0.0);
+        });
+        pb.finish().unwrap()
+    }
+
     #[test]
-    fn conflicting_install_purges_the_evicted_lines_state() {
-        let p = {
-            let mut pb = ProgramBuilder::new("big");
-            // Big enough that two addresses map to the same direct-mapped
-            // cache slot: line count 256, line words 4 → stride 1024 words.
-            let a = pb.shared("A", &[4096]);
-            pb.serial_epoch("touch", |e| {
-                e.assign(a.at1(0), a.at1(0).rd() + 0.0);
-            });
-            pb.finish().unwrap()
-        };
+    fn mesi_state_leaves_with_the_evicted_line() {
+        let p = conflict_fixture();
         let mut sim = sim_for(&p, Scheme::Mesi);
         let mut m = Mesi::new(2);
         let rid = RefId(0);
         m.read_shared(&mut sim, 0, rid, 0, 0);
-        assert_eq!(m.state_of(&sim, 0, 0), Some(MesiState::Exclusive));
+        assert_eq!(state_of(&sim, 0, 0), Some(LineState::Exclusive));
         // Address 1024 conflicts with address 0 (same slot, different tag).
         m.read_shared(&mut sim, 0, rid, 1024, 0);
         assert!(sim.pes[0].cache.lookup(0).is_none(), "conflict evicted");
-        assert_eq!(m.state_of(&sim, 0, 0), None, "state purged with the line");
-        assert_eq!(m.state_of(&sim, 0, 1024), Some(MesiState::Exclusive));
+        assert_eq!(state_of(&sim, 0, 0), None, "state left with the line");
+        assert_eq!(state_of(&sim, 0, 1024), Some(LineState::Exclusive));
+    }
+
+    #[test]
+    fn dragon_state_leaves_with_the_evicted_line() {
+        let p = conflict_fixture();
+        let mut sim = sim_for(&p, Scheme::Dragon);
+        let mut d = Dragon::new(2);
+        let rid = RefId(0);
+        // PE 0 owns address 0 Modified; PE 1 shares it.
+        d.write_shared(&mut sim, 0, 0, 0, 5.0);
+        assert_eq!(state_of(&sim, 0, 0), Some(LineState::Modified));
+        d.read_shared(&mut sim, 1, rid, 0, 0);
+        assert_eq!(state_of(&sim, 0, 0), Some(LineState::SharedModified));
+        // A conflicting read miss on PE 0 evicts its SharedModified line.
+        d.read_shared(&mut sim, 0, rid, 1024, 0);
+        assert_eq!(state_of(&sim, 0, 0), None, "state left with the line");
+        assert_eq!(state_of(&sim, 0, 1024), Some(LineState::Exclusive));
+        // PE 1's write now finds no other holder: no update, Modified.
+        d.write_shared(&mut sim, 1, 0, 0, 6.0);
+        assert_eq!(state_of(&sim, 1, 0), Some(LineState::Modified));
+        assert_eq!(sim.pes[1].stats.bus_updates, 0);
+        // Refilling PE 0 reads the current value: oracle-clean.
+        assert_eq!(d.read_shared(&mut sim, 0, rid, 0, 0), 6.0);
+        assert_eq!(sim.oracle.stale_reads, 0);
     }
 
     #[test]

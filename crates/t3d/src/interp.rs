@@ -1424,8 +1424,18 @@ impl<'p> Simulator<'p> {
             // Fresh read over an old-phase line: coherent re-fetch.
             self.pes[pe].stats.refresh_fills += 1;
         }
-        // Miss (or refresh): fill from memory — or from the local staging
-        // buffer when a vector prefetch already moved the line over.
+        self.demand_fill(pe, addr);
+        self.mem.read_shared(addr).0
+    }
+
+    /// Demand fill of `addr`'s line into `pe`'s cache on a miss (or a
+    /// `Fresh` refresh) — from memory, or from the local staging buffer when
+    /// a vector prefetch already moved the line over. The software schemes'
+    /// `cached_read` and the MESI/Dragon backends (write-allocate on reads
+    /// and writes) share it; hardware schemes never prefetch, so for them
+    /// the staging and fallback branches never fire. Returns the line.
+    pub(crate) fn demand_fill(&mut self, pe: usize, addr: usize) -> usize {
+        let phase = self.phase;
         let line_base = self.pes[pe].cache.line_base(addr);
         let line_id = self.pes[pe].cache.line_addr(addr);
         let local = self.mem.owner(addr) == pe;
@@ -1460,31 +1470,17 @@ impl<'p> Simulator<'p> {
         };
         self.charge(pe, cat, lat);
         self.trace_event(pe, ev, addr);
-        let lw = self.cfg.line_words;
-        let shared_words = self.mem.shared_words();
-        {
-            let mem = &self.mem;
-            let words = (0..lw).map(|k| {
-                let a = line_base + k;
-                if a < shared_words {
-                    mem.read_shared(a)
-                } else {
-                    (0.0, 0)
-                }
-            });
-            let p = &mut self.pes[pe];
-            p.stats.mem_stall_cycles += lat;
-            if local {
-                p.stats.local_fills += 1;
-            } else if staged {
-                p.stats.staged_fills += 1;
-            } else {
-                p.stats.remote_fills += 1;
-            }
-            let now = p.now;
-            p.cache.install(addr, phase, now, words);
+        let p = &mut self.pes[pe];
+        p.stats.mem_stall_cycles += lat;
+        if local {
+            p.stats.local_fills += 1;
+        } else if staged {
+            p.stats.staged_fills += 1;
+        } else {
+            p.stats.remote_fills += 1;
         }
-        self.mem.read_shared(addr).0
+        let now = p.now;
+        p.cache.install(addr, phase, now, self.mem.line(line_base, self.cfg.line_words))
     }
 
     fn exec_write(&mut self, pe: usize, w: &'p ArrayRef, v: f64) {
@@ -1520,11 +1516,10 @@ impl<'p> Simulator<'p> {
 
     // -- hardware-backend primitives ---------------------------------------
     //
-    // The MESI/Dragon backends compose these: a plain cache hit (no
-    // prefetch machinery — hardware schemes never prefetch), a demand fill
-    // with the fault-injection latency hook, and a write-through store
-    // without the software schemes' owner-cache patching (the protocol
-    // keeps remote copies coherent itself).
+    // The MESI/Dragon backends compose these with `demand_fill`: a plain
+    // cache hit (no prefetch machinery — hardware schemes never prefetch)
+    // and a write-through store without the software schemes' owner-cache
+    // patching (the protocol keeps remote copies coherent itself).
 
     /// Hardware-scheme cache hit: charge, trace, count, oracle-check.
     pub(crate) fn hw_cached_hit(&mut self, pe: usize, rid: RefId, addr: usize, hit: Hit) -> f64 {
@@ -1535,55 +1530,6 @@ impl<'p> Simulator<'p> {
         let (v, ver) = p.cache.read(hit.line, addr);
         self.oracle_check(pe, rid, addr, ver);
         v
-    }
-
-    /// Hardware-scheme demand fill: fetch `addr`'s line from its home
-    /// memory into `pe`'s cache (write-allocate on both reads and writes).
-    /// Injected latency spikes stretch remote fills through the same
-    /// `fill_multiplier` hook as the software schemes.
-    pub(crate) fn hw_fill(&mut self, pe: usize, addr: usize) {
-        let local = self.mem.owner(addr) == pe;
-        let base_lat = if local { self.cfg.local_fill } else { self.cfg.remote_fill };
-        let mut lat = base_lat;
-        if let Some(f) = self.faults.as_mut() {
-            if !local {
-                lat = base_lat * f.fill_multiplier(pe);
-            }
-        }
-        if lat > base_lat {
-            let fs = &mut self.pes[pe].stats.faults;
-            fs.fills_delayed += 1;
-            fs.delay_extra_cycles += lat - base_lat;
-        }
-        let (cat, ev) = if local {
-            (CycleCategory::LocalFill, TraceEventKind::LocalFill)
-        } else {
-            (CycleCategory::RemoteFill, TraceEventKind::RemoteFill)
-        };
-        self.charge(pe, cat, lat);
-        self.trace_event(pe, ev, addr);
-        let line_base = self.pes[pe].cache.line_base(addr);
-        let lw = self.cfg.line_words;
-        let shared_words = self.mem.shared_words();
-        let phase = self.phase;
-        let mem = &self.mem;
-        let words = (0..lw).map(|k| {
-            let a = line_base + k;
-            if a < shared_words {
-                mem.read_shared(a)
-            } else {
-                (0.0, 0)
-            }
-        });
-        let p = &mut self.pes[pe];
-        p.stats.mem_stall_cycles += lat;
-        if local {
-            p.stats.local_fills += 1;
-        } else {
-            p.stats.remote_fills += 1;
-        }
-        let now = p.now;
-        p.cache.install(addr, phase, now, words);
     }
 
     /// Hardware-scheme store: write-through to home memory (bumping the
@@ -1730,23 +1676,11 @@ impl<'p> Simulator<'p> {
         }
         self.audit_touch(pe, addr, false);
         let line_base = self.pes[pe].cache.line_base(addr);
-        let shared_words = self.mem.shared_words();
-        {
-            let mem = &self.mem;
-            let words = (0..lw).map(|k| {
-                let a = line_base + k;
-                if a < shared_words {
-                    mem.read_shared(a)
-                } else {
-                    (0.0, 0)
-                }
-            });
-            let phase = self.phase;
-            let p = &mut self.pes[pe];
-            p.cache.install_prefetch(addr, phase, ready, words);
-            p.stats.line_prefetches_issued += 1;
-            p.stats.prefetch_words_issued += lw as u64;
-        }
+        let phase = self.phase;
+        let p = &mut self.pes[pe];
+        p.cache.install_prefetch(addr, phase, ready, self.mem.line(line_base, lw));
+        p.stats.line_prefetches_issued += 1;
+        p.stats.prefetch_words_issued += lw as u64;
         self.trace_event(pe, TraceEventKind::LinePrefetch, addr);
         // Early-eviction injection: the line arrived, but a conflict kicks
         // it out before its first use. A successful (surviving) install
@@ -1887,7 +1821,6 @@ impl<'p> Simulator<'p> {
         self.pes[pe].stats.vector_words_moved += words as u64;
         let ready = self.pes[pe].now + transfer * mult;
         let phase = self.phase;
-        let shared_words = self.mem.shared_words();
         self.pes[pe].stage_lines(phase, line_addrs.iter().map(|&la| la as u64));
         self.trace_event(
             pe,
@@ -1897,17 +1830,8 @@ impl<'p> Simulator<'p> {
         for &la in &line_addrs {
             let line_base = la * lw;
             self.audit_touch(pe, line_base, false);
-            let mem = &self.mem;
-            let words_iter = (0..lw).map(|k| {
-                let a = line_base + k;
-                if a < shared_words {
-                    mem.read_shared(a)
-                } else {
-                    (0.0, 0)
-                }
-            });
             let p = &mut self.pes[pe];
-            p.cache.install_prefetch(line_base, phase, ready, words_iter);
+            p.cache.install_prefetch(line_base, phase, ready, self.mem.line(line_base, lw));
             p.stats.prefetch_words_issued += lw as u64;
         }
         // As in the line-prefetch path: conflict pressure can evict any of

@@ -142,6 +142,20 @@ impl Memory {
         self.shared_values.len()
     }
 
+    /// The `(value, version)` words of the cache line starting at `base`,
+    /// as a fill snapshots them. Words past the end of the shared space
+    /// (the tail of the last line) read as `(0.0, 0)`.
+    #[inline]
+    pub fn line(&self, base: usize, line_words: usize) -> impl Iterator<Item = (f64, u32)> + '_ {
+        (base..base + line_words).map(|a| {
+            if a < self.shared_words() {
+                self.read_shared(a)
+            } else {
+                (0.0, 0)
+            }
+        })
+    }
+
     /// Snapshot a shared array's contents (for validation against golden
     /// references).
     pub fn array_values(&self, program: &Program, a: ArrayId) -> Vec<f64> {
@@ -202,6 +216,10 @@ mod unit {
         let v = m.write_shared(addr, 7.5);
         assert_eq!(v, 1);
         assert_eq!(m.read_shared(addr), (7.5, 1));
+        // A line running past the 20 shared words reads its tail as zeros.
+        let line: Vec<_> = m.line(16, 8).collect();
+        assert_eq!(line[2], (7.5, 1));
+        assert_eq!(&line[4..], &[(0.0, 0); 4]);
     }
 
     #[test]

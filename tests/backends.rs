@@ -119,3 +119,38 @@ fn fixed_seed_backend_sweep() {
         }
     }
 }
+
+/// Hardware schemes under a seeded fault plan. Latency spikes reach the
+/// demand fill and queue storms reach the bus's delayed-message queue, so
+/// this pins both fault hooks on the MESI/Dragon path; the committed
+/// reference grid covers only fault-free runs. The constants are the
+/// simulator's output for this plan, not derived figures: a change to any
+/// of them is a change to simulated behaviour.
+#[test]
+fn hardware_backends_under_a_fault_plan_are_pinned() {
+    use t3d_sim::FaultPlan;
+    let spec = small_suite().into_iter().find(|s| s.name == "TOMCATV").unwrap();
+    let plan = FaultPlan::none().with_seed(1997).with_delay(0.2, 3, 2).with_storms(0.05, 3);
+    let cfg = PipelineConfig::t3d(4).with_faults(plan);
+    // (cycles, bus_txns, bus_invalidations, bus_updates, fills_delayed,
+    // queue_storms)
+    let want = [
+        (Scheme::Mesi, (270187, 4832, 1460, 0, 592, 223)),
+        (Scheme::Dragon, (188878, 5651, 0, 3635, 276, 258)),
+    ];
+    for (s, expect) in want {
+        let r = cfg.run(&spec.program, s).unwrap_or_else(|e| panic!("{}: {e}", s.name())).result;
+        assert!(r.oracle.is_coherent(), "{}: {:?}", s.name(), r.oracle.examples);
+        let t = r.total_stats();
+        let f = r.fault_stats();
+        let got = (
+            r.cycles,
+            t.bus_txns,
+            t.bus_invalidations,
+            t.bus_updates,
+            f.fills_delayed,
+            f.queue_storms,
+        );
+        assert_eq!(got, expect, "{}", s.name());
+    }
+}
