@@ -20,15 +20,13 @@
 //! cross-block write and requires the shard audit to flag it (CCDP006).
 
 use ccdp_bench::synth::{mutate_plan, mutate_program, random_program, SynthConfig};
-use ccdp_bench::report::SCHEMA_VERSION;
+use ccdp_bench::report::merge_section;
 use ccdp_bench::{
     cell_config, flag_value, has_flag, paper_kernels, seed_from, Scale, PAPER_PES,
 };
 use ccdp_core::compile_ccdp;
 use ccdp_json::{Json, ToJson};
 use ccdp_lint::{verify, verify_sharding, LintCode, LintOptions, LintReport, ShardCounts};
-
-const OUT: &str = "BENCH_ccdp.json";
 
 fn cell_json(kernel: &str, n_pes: usize, rep: &LintReport, shard: &ShardCounts) -> Json {
     Json::obj([
@@ -148,7 +146,7 @@ fn main() {
         ("warnings", (warnings + synth_warnings).to_json()),
         ("sound", (errors + synth_errors == 0).to_json()),
     ]);
-    merge_into_report(section);
+    merge_section("lint", section);
 
     if errors + synth_errors > 0 {
         eprintln!("lint: {} error finding(s)", errors + synth_errors);
@@ -222,33 +220,4 @@ fn demo_mutation(scale: Scale, mseed: u64) {
         "caught: CCDP006 on MXM P={n} ({} of {} doalls still disjoint)",
         counts.disjoint, counts.doalls
     );
-}
-
-/// Merge the `lint` section into `BENCH_ccdp.json` (atomically), preserving
-/// an existing report document when one is present.
-fn merge_into_report(section: Json) {
-    let mut doc = std::fs::read_to_string(OUT)
-        .ok()
-        .and_then(|s| ccdp_json::parse(&s).ok())
-        .unwrap_or_else(|| {
-            Json::obj([
-                ("schema_version", SCHEMA_VERSION.to_json()),
-                (
-                    "paper",
-                    "A Compiler-Directed Cache Coherence Scheme Using Data Prefetching"
-                        .to_json(),
-                ),
-            ])
-        });
-    if let Json::Obj(pairs) = &mut doc {
-        pairs.retain(|(k, _)| k != "lint");
-        pairs.push(("lint".to_string(), section));
-    }
-    match ccdp_json::write_atomic(std::path::Path::new(OUT), &doc.to_pretty()) {
-        Ok(()) => eprintln!("merged lint section into {OUT}"),
-        Err(e) => {
-            eprintln!("cannot write {OUT}: {e}");
-            std::process::exit(1);
-        }
-    }
 }

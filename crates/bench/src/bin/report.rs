@@ -1,14 +1,13 @@
 //! Machine-readable benchmark report: runs the full evaluation grid and
-//! writes `BENCH_ccdp.json` — the paper's Tables 1 and 2 plus per-PE and
-//! per-epoch cycle breakdowns, prefetch quality metrics, and a `perf`
-//! section with the run's host-side throughput (consumed by the CI
-//! performance-regression gate).
+//! writes `BENCH_ccdp.json` — the paper's Tables 1 and 2 plus every cell's
+//! cycles, cycle-breakdown totals and prefetch quality metrics. The
+//! document holds no host time: the same code, scale and seed write the
+//! same bytes. Each run's per-PE and per-epoch detail stays in the journal.
 //!
 //! Every cell runs isolated (panic containment + classification), each
 //! completed cell is checkpointed to a journal, and `--resume` replays the
 //! journal after a crash, re-simulating only the missing cells — the
-//! resumed document is byte-identical to an uninterrupted run, minus the
-//! host-timing `perf` section.
+//! resumed document is byte-identical to an uninterrupted run.
 //!
 //! ```text
 //! cargo run -p ccdp-bench --release --bin report            # quick scale
@@ -26,14 +25,9 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use ccdp_bench::journal::{header_line, run_journaled_grid, GRID_JOURNAL};
-use ccdp_bench::report::report_json_cells;
+use ccdp_bench::report::{report_json_cells, REPORT_FILE};
 use ccdp_bench::resilience::GridOptions;
-use ccdp_bench::{
-    flag_value, has_flag, measure_scaling, paper_kernels, seed_from, Scale, GRID_SCHEMES,
-    PAPER_PES,
-};
-
-const OUT: &str = "BENCH_ccdp.json";
+use ccdp_bench::{flag_value, has_flag, paper_kernels, seed_from, Scale, GRID_SCHEMES, PAPER_PES};
 
 fn parse_u64_flag(args: &[String], name: &str) -> Option<u64> {
     flag_value(args, name).map(|v| {
@@ -70,7 +64,7 @@ fn main() {
     );
     let kernels = paper_kernels(scale);
     let header = header_line("report", scale, seed, &PAPER_PES, &GRID_SCHEMES, &opts);
-    let mut run = run_journaled_grid(
+    let run = run_journaled_grid(
         &kernels,
         &PAPER_PES,
         &GRID_SCHEMES,
@@ -86,53 +80,14 @@ fn main() {
     if run.reused > 0 {
         eprintln!("resumed {} journaled cell(s) from {}", run.reused, journal_path.display());
     }
-    match &mut run.timing {
-        Some(t) => {
-            eprintln!(
-                "grid: {:.3}s wall on {} thread(s), sim_threads={}, \
-                 {:.2}M simulated cycles/s",
-                t.wall_seconds,
-                t.threads,
-                t.sim_threads,
-                t.cycles_per_second() / 1e6
-            );
-            // Fresh healthy run: probe intra-run scaling on a small quick
-            // grid so the perf section records how the sharded engine
-            // scales on this host. Simulated results are identical at
-            // every thread count (bit-exact parallel path); only the wall
-            // numbers differ.
-            eprintln!("probing intra-run scaling (quick grid, sim_threads 1/2/4) ...");
-            let probe = paper_kernels(Scale::Quick);
-            match measure_scaling(&probe[..2], &[4], &GRID_SCHEMES, &[1, 2, 4]) {
-                Ok(points) => {
-                    for p in &points {
-                        eprintln!(
-                            "  sim_threads={}: {:.3}s wall",
-                            p.sim_threads, p.wall_seconds
-                        );
-                    }
-                    t.scaling = points;
-                }
-                Err(e) => eprintln!("scaling probe failed ({e}); omitting perf.scaling"),
-            }
-        }
-        None => eprintln!("grid finished (no perf baseline: resumed or failing run)"),
-    }
     let names: Vec<&str> = kernels.iter().map(|k| k.name).collect();
-    let doc = report_json_cells(
-        scale,
-        seed,
-        &PAPER_PES,
-        &GRID_SCHEMES,
-        &names,
-        &run.cells,
-        run.timing.as_ref(),
-    );
-    ccdp_json::write_atomic(std::path::Path::new(OUT), &doc.to_pretty()).unwrap_or_else(|e| {
-        eprintln!("cannot write {OUT}: {e}");
+    let doc = report_json_cells(scale, seed, &PAPER_PES, &GRID_SCHEMES, &names, &run.cells);
+    let path = std::path::Path::new(REPORT_FILE);
+    ccdp_json::write_atomic(path, &doc.to_pretty()).unwrap_or_else(|e| {
+        eprintln!("cannot write {REPORT_FILE}: {e}");
         std::process::exit(1);
     });
-    eprintln!("wrote {OUT}");
+    eprintln!("wrote {REPORT_FILE}");
     if !run.failures.is_empty() {
         eprintln!("{} cell(s) failed:", run.failures.len());
         for (kernel, n_pes, class, msg) in &run.failures {

@@ -23,7 +23,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use ccdp_bench::journal::{header_line, Journal, STRESS_JOURNAL};
-use ccdp_bench::report::SCHEMA_VERSION;
+use ccdp_bench::report::merge_section;
 use ccdp_bench::resilience::{classify_pipeline, isolate, CellFailure, GridOptions};
 use ccdp_bench::stress::{
     stress_cell_json, stress_cell_opts, stress_pes, stress_plans, stress_section_json,
@@ -31,9 +31,7 @@ use ccdp_bench::stress::{
 };
 use ccdp_bench::{flag_value, has_flag, paper_kernels, pooled, seed_from, Scale};
 use ccdp_core::Scheme;
-use ccdp_json::{Json, ToJson};
-
-const OUT: &str = "BENCH_ccdp.json";
+use ccdp_json::Json;
 
 fn parse_u64_flag(args: &[String], name: &str) -> Option<u64> {
     flag_value(args, name).map(|v| {
@@ -81,7 +79,6 @@ fn main() {
         "running stress sweep at {scale:?} scale, P={pes:?}, seed {seed}{} ...",
         if resume { " [resume]" } else { "" }
     );
-    let t0 = std::time::Instant::now();
 
     // The sweep drives the CCDP fault curve plus the hardware smoke cells.
     let stressed = [Scheme::Ccdp, Scheme::Mesi, Scheme::Dragon];
@@ -154,7 +151,6 @@ fn main() {
             }
         }
     }
-    let wall_seconds = t0.elapsed().as_secs_f64();
     if !failures.is_empty() {
         eprintln!("STRESS FAILURE: {} unit(s) failed:", failures.len());
         for (kernel, n_pes, f) in &failures {
@@ -164,8 +160,7 @@ fn main() {
         std::process::exit(1);
     }
     print_curve(seed, &cells);
-    eprintln!("stress sweep: {wall_seconds:.3}s wall");
-    merge_into_report(scale, seed, &pes, cells, wall_seconds);
+    merge_section("stress", stress_section_json(scale, seed, &pes, cells));
 }
 
 /// Human-readable degradation curve: slowdown vs the fault-free run.
@@ -195,39 +190,4 @@ fn print_curve(seed: u64, cells: &[Json]) {
         );
     }
     println!("\nall cells coherent, all numerics equal the sequential golden run");
-}
-
-/// Merge the `stress` section into `BENCH_ccdp.json` (atomically),
-/// preserving an existing report document when one is present. The sweep's
-/// wall time is recorded alongside the curve (host observation, not
-/// simulated time).
-fn merge_into_report(scale: Scale, seed: u64, pes: &[usize], cells: Vec<Json>, wall: f64) {
-    let mut section = stress_section_json(scale, seed, pes, cells);
-    if let Json::Obj(pairs) = &mut section {
-        pairs.push(("wall_seconds".to_string(), wall.to_json()));
-    }
-    let mut doc = std::fs::read_to_string(OUT)
-        .ok()
-        .and_then(|s| ccdp_json::parse(&s).ok())
-        .unwrap_or_else(|| {
-            Json::obj([
-                ("schema_version", SCHEMA_VERSION.to_json()),
-                (
-                    "paper",
-                    "A Compiler-Directed Cache Coherence Scheme Using Data Prefetching"
-                        .to_json(),
-                ),
-            ])
-        });
-    if let Json::Obj(pairs) = &mut doc {
-        pairs.retain(|(k, _)| k != "stress");
-        pairs.push(("stress".to_string(), section));
-    }
-    match ccdp_json::write_atomic(std::path::Path::new(OUT), &doc.to_pretty()) {
-        Ok(()) => eprintln!("merged stress section into {OUT}"),
-        Err(e) => {
-            eprintln!("cannot write {OUT}: {e}");
-            std::process::exit(1);
-        }
-    }
 }

@@ -7,8 +7,7 @@
 //! `--resume` replays the journal, re-simulates only the missing cells,
 //! and (because journaled cell JSON is re-emitted verbatim and every cell
 //! is deterministic for a given config + seed) produces a report document
-//! byte-identical to an uninterrupted run, minus the host-timing `perf`
-//! section.
+//! byte-identical to an uninterrupted run.
 //!
 //! Robustness rules:
 //!
@@ -37,7 +36,7 @@ use ccdp_json::{Json, ToJson};
 
 use crate::report::cell_json;
 use crate::resilience::{run_grid_isolated, CellFailure, CellOutcome, GridOptions};
-use crate::{BenchKernel, GridTiming, Scale};
+use crate::{BenchKernel, Scale};
 
 /// Default journal location for the `report` bin's grid.
 pub const GRID_JOURNAL: &str = "results/grid.journal.jsonl";
@@ -307,9 +306,6 @@ pub struct JournaledGrid {
     pub reused: usize,
     /// `(kernel, n_pes, outcome class, message)` for every non-ok cell.
     pub failures: Vec<(String, usize, String, String)>,
-    /// Host timing for the `perf` section: `Some` only for a fully fresh,
-    /// fully successful run.
-    pub timing: Option<GridTiming>,
 }
 
 /// Run the grid with cell isolation and journaling; with `resume`, replay
@@ -360,7 +356,7 @@ pub fn run_journaled_grid(
     for (ki, k) in kernels.iter().enumerate() {
         let mut row = Vec::with_capacity(pes.len());
         for (pi, &n) in pes.iter().enumerate() {
-            let cj = match grid.outcomes[ki][pi].as_ref() {
+            let cj = match grid[ki][pi].as_ref() {
                 Some(outcome) => cell_json(outcome),
                 None => done
                     .remove(&(k.name.to_string(), n))
@@ -380,12 +376,7 @@ pub fn run_journaled_grid(
         }
         cells.push(row);
     }
-    // A resumed run has no whole-grid wall-clock measurement to report:
-    // reused cells cost no host time, so the numbers would not be
-    // comparable to a fresh baseline. run_grid_isolated already returns
-    // None for partial or failing runs.
-    let timing = if reused == 0 { grid.timing } else { None };
-    Ok(JournaledGrid { cells, reused, failures, timing })
+    Ok(JournaledGrid { cells, reused, failures })
 }
 
 #[cfg(test)]

@@ -23,11 +23,11 @@ pub mod stress;
 pub mod synth;
 
 use ccdp_core::{
-    compare, compare_with_seq, run_seq, EnvOverrides, PipelineConfig, PipelineError,
-    ScalePreset, Scheme, SchemeMatrix,
+    compare, EnvOverrides, PipelineConfig, PipelineError, ScalePreset, Scheme, SchemeMatrix,
 };
 use ccdp_ir::Program;
 use ccdp_kernels::{mxm, swim, tomcatv, vpenta};
+use resilience::{run_grid_isolated, CellFailure, CellOutcome, GridOptions};
 use t3d_sim::{ConfigError, SimOptions};
 
 /// The PE counts of the paper's tables.
@@ -216,124 +216,6 @@ pub fn run_cell_with(
     compare(&k.program, &cfg, schemes)
 }
 
-/// Host-side wall-clock observations of one grid run: *host* throughput
-/// (simulated cycles per host second), not simulated time. Feeds the `perf`
-/// section of the benchmark report and the CI regression gate.
-#[derive(Clone, Debug)]
-pub struct GridTiming {
-    /// Whole-grid wall time, including the per-kernel sequential runs.
-    pub wall_seconds: f64,
-    /// Worker threads used (`min(host parallelism, cell count)`).
-    pub threads: usize,
-    /// The simulator's intra-run worker knob in effect for every cell
-    /// (`SimOptions::sim_threads`, set by `CCDP_SIM_THREADS` or a probe
-    /// tweak; 1 = the serial engine).
-    pub sim_threads: usize,
-    /// Per-kernel sequential-run timing (run once, reused by every cell).
-    pub seq: Vec<CellTiming>,
-    /// Per-cell timing, indexed like the grid: `cells[kernel][pe]`.
-    pub cells: Vec<Vec<CellTiming>>,
-    /// Intra-run scaling probe points ([`measure_scaling`]), attached by
-    /// the report bin on fresh healthy runs; empty when not probed.
-    pub scaling: Vec<ScalingPoint>,
-}
-
-impl GridTiming {
-    /// Total simulated cycles produced by the run.
-    pub fn sim_cycles(&self) -> u64 {
-        let seq: u64 = self.seq.iter().map(|c| c.sim_cycles).sum();
-        let cells: u64 =
-            self.cells.iter().flatten().map(|c| c.sim_cycles).sum();
-        seq + cells
-    }
-
-    /// Shard-path counters aggregated over every cell of the timed grid
-    /// (feeds the report's `perf.shard` object, schema v10).
-    pub fn shard(&self) -> ShardAgg {
-        let mut agg = ShardAgg::default();
-        for c in self.cells.iter().flatten() {
-            agg.merge(&c.shard);
-        }
-        agg
-    }
-
-    /// Aggregate host throughput in simulated cycles per second.
-    pub fn cycles_per_second(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.sim_cycles() as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Wall time and simulated work of one simulation bundle.
-#[derive(Clone, Debug, Default)]
-pub struct CellTiming {
-    pub wall_seconds: f64,
-    /// Simulated cycles the bundle produced (summed over every scheme run
-    /// for a grid cell; the run's own cycles for a `seq` entry).
-    pub sim_cycles: u64,
-    /// Per-scheme breakdown of `sim_cycles`, keyed by [`Scheme::key`]
-    /// (empty for `seq` entries). Feeds the `perf` section's per-scheme
-    /// rows (schema v6).
-    pub scheme_cycles: Vec<(&'static str, u64)>,
-    /// Shard-path counters summed over the cell's scheme runs (zero for
-    /// `seq` entries, which never shard).
-    pub shard: ShardAgg,
-}
-
-impl CellTiming {
-    /// Timing of one grid cell from its completed matrix.
-    pub fn from_matrix(wall_seconds: f64, m: &SchemeMatrix) -> CellTiming {
-        let mut shard = ShardAgg::default();
-        for r in &m.runs {
-            shard.absorb(&r.result.shard);
-        }
-        CellTiming {
-            wall_seconds,
-            sim_cycles: m.runs.iter().map(|r| r.result.cycles).sum(),
-            scheme_cycles: m.runs.iter().map(|r| (r.scheme.key(), r.result.cycles)).collect(),
-            shard,
-        }
-    }
-}
-
-/// Aggregated epoch-sharding counters over a set of simulation runs: how
-/// many DOALL instances were sharded on a static `Disjoint` proof and how
-/// many went to the serial schedule instead. Feeds the `perf.shard` object
-/// of the report (schema v11).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardAgg {
-    /// Instances sharded on a static `Disjoint` proof.
-    pub static_proven: u64,
-    /// Proven budgeted instances whose sliced budget tripped in a worker.
-    pub budget_reruns: u64,
-    /// Instances that went straight to the serial schedule, all structured
-    /// reasons combined (including every unproven instance).
-    pub declined: u64,
-}
-
-impl ShardAgg {
-    /// Fold one run's shard statistics into the aggregate.
-    pub fn absorb(&mut self, s: &t3d_sim::ShardStats) {
-        self.static_proven += s.static_proven;
-        self.budget_reruns += s.budget_reruns;
-        self.declined += s.declined_treewalk
-            + s.declined_few_pes
-            + s.declined_hardware
-            + s.declined_wall_deadline
-            + s.declined_budget_unproven;
-    }
-
-    /// Combine two aggregates.
-    pub fn merge(&mut self, o: &ShardAgg) {
-        self.static_proven += o.static_proven;
-        self.budget_reruns += o.budget_reruns;
-        self.declined += o.declined;
-    }
-}
-
 /// Run `n_jobs` jobs on a bounded worker pool, preserving job order in the
 /// returned results. Workers pull the next job index from a shared counter,
 /// so the fan-out never exceeds `threads` no matter how large the grid is.
@@ -364,165 +246,27 @@ pub fn pooled<T: Send>(
 }
 
 /// Run the full grid: for each kernel, one [`SchemeMatrix`] per PE count
-/// covering `schemes`. Cells run on a worker pool bounded by the host's
-/// available parallelism; the first coherence violation anywhere in the
-/// grid fails the whole run.
+/// covering `schemes`. This is [`resilience::run_grid_isolated`] over every
+/// cell with default [`GridOptions`] (no budgets, no faults); the first
+/// non-ok cell in grid order fails the whole run with its [`CellFailure`].
 pub fn run_grid(
     kernels: &[BenchKernel],
     pes: &[usize],
     schemes: &[Scheme],
-) -> Result<Vec<Vec<SchemeMatrix>>, PipelineError> {
-    run_grid_timed(kernels, pes, schemes).map(|(grid, _)| grid)
-}
-
-/// [`run_grid`] plus host-side timing of every cell. The sequential
-/// denominator of each kernel is simulated once and reused across its PE
-/// cells (it does not depend on the PE count; see
-/// [`ccdp_core::compare_with_seq`]), so the grid does
-/// kernels×(pes×schemes + 1) simulations instead of
-/// kernels×pes×(schemes + 1).
-pub fn run_grid_timed(
-    kernels: &[BenchKernel],
-    pes: &[usize],
-    schemes: &[Scheme],
-) -> Result<(Vec<Vec<SchemeMatrix>>, GridTiming), PipelineError> {
-    run_grid_timed_with(kernels, pes, schemes, |_| {})
-}
-
-/// [`run_grid_timed`] with a configuration tweak applied to every cell on
-/// top of the kernel defaults and environment overrides (the tweak runs
-/// after [`cell_config`], so it wins). Used by the scaling probes, which
-/// force `SimOptions::sim_threads` per run.
-pub fn run_grid_timed_with(
-    kernels: &[BenchKernel],
-    pes: &[usize],
-    schemes: &[Scheme],
-    tweak: impl Fn(&mut PipelineConfig) + Sync,
-) -> Result<(Vec<Vec<SchemeMatrix>>, GridTiming), PipelineError> {
-    use std::time::Instant;
-
-    let t0 = Instant::now();
-    // What `cell_config` + tweak leave in the simulator's worker knob —
-    // recorded so the report (and the perf gate) know which engine
-    // configuration the wall numbers describe.
-    let sim_threads = {
-        let mut probe = PipelineConfig::t3d(2);
-        if let Ok(env) = EnvOverrides::from_env() {
-            env.apply(&mut probe);
-        }
-        tweak(&mut probe);
-        probe.sim.sim_threads.max(1)
-    };
-    let n_cells = kernels.len() * pes.len();
-    if n_cells == 0 {
-        let grid = kernels.iter().map(|_| Vec::new()).collect();
-        let timing = GridTiming {
-            wall_seconds: t0.elapsed().as_secs_f64(),
-            threads: 0,
-            sim_threads,
-            seq: Vec::new(),
-            cells: Vec::new(),
-            scaling: Vec::new(),
-        };
-        return Ok((grid, timing));
-    }
-    let threads =
-        std::thread::available_parallelism().map_or(1, |n| n.get()).min(n_cells);
-    let cfg_for = |k: &BenchKernel, n_pes: usize| {
-        let mut cfg = cell_config(k, n_pes);
-        tweak(&mut cfg);
-        cfg
-    };
-
-    // Stage 1: the per-kernel sequential denominators.
-    let seq_runs = pooled(kernels.len(), threads, |ki| {
-        let k = &kernels[ki];
-        let t = Instant::now();
-        let r = run_seq(&k.program, &cfg_for(k, pes[0]));
-        (r, t.elapsed().as_secs_f64())
-    });
-    let mut seqs = Vec::with_capacity(kernels.len());
-    let mut seq_timing = Vec::with_capacity(kernels.len());
-    for (r, secs) in seq_runs {
-        let r = r?;
-        seq_timing.push(CellTiming {
-            wall_seconds: secs,
-            sim_cycles: r.cycles,
-            scheme_cycles: Vec::new(),
-            shard: ShardAgg::default(),
-        });
-        seqs.push(r);
-    }
-
-    // Stage 2: the scheme cells, reusing the kernel's sequential run.
-    let cell_runs = pooled(n_cells, threads, |i| {
-        let (ki, pi) = (i / pes.len(), i % pes.len());
-        let k = &kernels[ki];
-        let t = Instant::now();
-        let r =
-            compare_with_seq(&k.program, &cfg_for(k, pes[pi]), seqs[ki].clone(), schemes);
-        (r, t.elapsed().as_secs_f64())
-    });
-    let mut grid: Vec<Vec<SchemeMatrix>> = Vec::with_capacity(kernels.len());
-    let mut cells: Vec<Vec<CellTiming>> = Vec::with_capacity(kernels.len());
-    let mut it = cell_runs.into_iter();
-    for _ in kernels {
-        let mut row = Vec::with_capacity(pes.len());
-        let mut trow = Vec::with_capacity(pes.len());
-        for _ in pes {
-            let (r, secs) = it.next().expect("one result per cell");
-            let c = r?;
-            trow.push(CellTiming::from_matrix(secs, &c));
-            row.push(c);
-        }
-        grid.push(row);
-        cells.push(trow);
-    }
-    let timing = GridTiming {
-        wall_seconds: t0.elapsed().as_secs_f64(),
-        threads,
-        sim_threads,
-        seq: seq_timing,
-        cells,
-        scaling: Vec::new(),
-    };
-    Ok((grid, timing))
-}
-
-/// One point of the intra-run scaling probe: the same grid timed with the
-/// simulator's worker knob forced to `sim_threads`.
-#[derive(Clone, Debug)]
-pub struct ScalingPoint {
-    /// The forced `SimOptions::sim_threads` value.
-    pub sim_threads: usize,
-    /// Host wall time of the whole grid at this thread count.
-    pub wall_seconds: f64,
-    /// Simulated cycles produced (identical at every thread count — the
-    /// sharded path is bit-exact; see `tests/parallel_equivalence.rs`).
-    pub sim_cycles: u64,
-}
-
-/// Time the same grid once per entry of `threads`, forcing the simulator's
-/// intra-run worker knob for every cell. Feeds the report's `perf.scaling`
-/// rows. Wall numbers are host observations and vary run to run; the
-/// simulated results are deterministic and thread-count-independent.
-pub fn measure_scaling(
-    kernels: &[BenchKernel],
-    pes: &[usize],
-    schemes: &[Scheme],
-    threads: &[usize],
-) -> Result<Vec<ScalingPoint>, PipelineError> {
-    let mut out = Vec::with_capacity(threads.len());
-    for &t in threads {
-        let (_, timing) =
-            run_grid_timed_with(kernels, pes, schemes, move |cfg| cfg.sim.sim_threads = t)?;
-        out.push(ScalingPoint {
-            sim_threads: t,
-            wall_seconds: timing.wall_seconds,
-            sim_cycles: timing.sim_cycles(),
-        });
-    }
-    Ok(out)
+) -> Result<Vec<Vec<SchemeMatrix>>, CellFailure> {
+    let todo: Vec<(usize, usize)> =
+        (0..kernels.len()).flat_map(|ki| (0..pes.len()).map(move |pi| (ki, pi))).collect();
+    run_grid_isolated(kernels, pes, schemes, &todo, &GridOptions::default(), |_| {})
+        .into_iter()
+        .map(|row| {
+            row.into_iter()
+                .map(|o| match o.expect("every cell was requested") {
+                    CellOutcome::Ok(m) => Ok(*m),
+                    CellOutcome::Fail(f) => Err(f),
+                })
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -543,25 +287,6 @@ mod unit {
             assert!(r.result.oracle.is_coherent(), "{} incoherent", s.name());
         }
         assert!(m.get(Scheme::Mesi).unwrap().result.total_stats().bus_txns > 0);
-    }
-
-    #[test]
-    fn scaling_probe_is_thread_count_invariant_in_simulated_work() {
-        let kernels = paper_kernels(Scale::Quick);
-        let points = measure_scaling(&kernels[..1], &[4], &[Scheme::Ccdp], &[1, 2])
-            .expect("coherent probe runs");
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].sim_threads, 1);
-        assert_eq!(points[1].sim_threads, 2);
-        // The knob changes host wall time only — never the simulation.
-        assert_eq!(points[0].sim_cycles, points[1].sim_cycles);
-        assert!(points.iter().all(|p| p.wall_seconds > 0.0 && p.sim_cycles > 0));
-        // And the recorded engine configuration reflects the forced knob.
-        let (_, t) = run_grid_timed_with(&kernels[..1], &[4], &[Scheme::Ccdp], |cfg| {
-            cfg.sim.sim_threads = 3;
-        })
-        .expect("coherent grid");
-        assert_eq!(t.sim_threads, 3);
     }
 
     #[test]
@@ -587,22 +312,25 @@ mod unit {
     }
 
     #[test]
-    fn grid_timing_sums_per_scheme_cycles() {
-        let kernels = paper_kernels(Scale::Quick);
-        let (grid, timing) =
-            run_grid_timed(&kernels[..1], &[2], &[Scheme::Base, Scheme::Ccdp])
-                .expect("coherent grid");
-        let cell = &timing.cells[0][0];
-        assert_eq!(cell.scheme_cycles.len(), 2);
-        assert_eq!(cell.scheme_cycles[0].0, "base");
-        assert_eq!(
-            cell.sim_cycles,
-            cell.scheme_cycles.iter().map(|(_, c)| c).sum::<u64>()
-        );
-        assert_eq!(
-            cell.sim_cycles,
-            grid[0][0].runs.iter().map(|r| r.result.cycles).sum::<u64>()
-        );
-        assert!(timing.sim_cycles() > cell.sim_cycles, "seq cycles counted too");
+    fn run_grid_fails_with_the_first_failed_cell() {
+        let mut pb = ccdp_ir::ProgramBuilder::new("oob");
+        let a = pb.shared("A", &[8]);
+        pb.parallel_epoch("w", |e| {
+            e.doall("i", 0, 127, |e, i| e.assign(a.at1(i), 1.0));
+        });
+        let oob = BenchKernel {
+            name: "OOB",
+            program: pb.finish().expect("structurally valid"),
+            repeat_sample: None,
+            layout: None,
+        };
+        let mut kernels = paper_kernels(Scale::Quick);
+        kernels.truncate(1);
+        kernels.push(oob);
+        match run_grid(&kernels, &[2], &[Scheme::Base]) {
+            Err(CellFailure::Panicked { retried, .. }) => assert!(retried),
+            Err(f) => panic!("expected a panicked cell, got {f}"),
+            Ok(_) => panic!("an out-of-bounds kernel must fail the grid"),
+        }
     }
 }

@@ -1,13 +1,18 @@
 //! Machine-readable benchmark report: assembles the full evaluation grid —
-//! the paper's Tables 1 and 2 plus per-PE / per-epoch cycle breakdowns and
-//! prefetch quality metrics — into one JSON document (`BENCH_ccdp.json`,
-//! written by the `report` bin).
+//! the paper's Tables 1 and 2 plus every cell's cycles, cycle breakdown
+//! totals and prefetch quality metrics — into one JSON document
+//! (`BENCH_ccdp.json`, written by the `report` bin; the `stress` and `lint`
+//! bins merge their sections into it through [`merge_section`]).
 //!
-//! The document is assembled from per-cell JSON values (one per
-//! kernel × PE count, each carrying a leading `outcome` field), so a
-//! resumed run can re-emit journaled cells verbatim and produce a document
-//! byte-identical to an uninterrupted run (minus the host-timing `perf`
-//! section, which only a fully fresh, fully successful run carries).
+//! The document is a deterministic record of results: it holds no host
+//! time, so the same code, scale and seed always write the same bytes.
+//! It is assembled from per-cell JSON values (one per kernel × PE count,
+//! each carrying a leading `outcome` field), so a resumed run can re-emit
+//! journaled cells verbatim and produce a document byte-identical to an
+//! uninterrupted run. The journal keeps each run's full per-PE and
+//! per-epoch detail; the record drops it at assembly.
+
+use std::path::Path;
 
 use ccdp_core::{
     format_improvement_cells, format_speedup_cells, Scheme, SchemeMatrix, TableCell, TableRow,
@@ -15,7 +20,13 @@ use ccdp_core::{
 use ccdp_json::{Json, ToJson};
 
 use crate::resilience::{CellFailure, CellOutcome};
-use crate::{BenchKernel, GridTiming, Scale};
+use crate::Scale;
+
+/// The report document's file name, in the working directory.
+pub const REPORT_FILE: &str = "BENCH_ccdp.json";
+
+/// The source paper's title, recorded in the document.
+const PAPER: &str = "A Compiler-Directed Cache Coherence Scheme Using Data Prefetching";
 
 /// Schema version of the report document; bump on breaking shape changes.
 /// v2: per-PE stats gained a `faults` object, the document records the
@@ -70,51 +81,11 @@ use crate::{BenchKernel, GridTiming, Scale};
 /// v11: `perf.shard` drops `dynamic_logged`, `conflicts` and
 /// `dynamic_checks_skipped` — only proven epochs shard, so nothing is
 /// dynamically checked.
-pub const SCHEMA_VERSION: u32 = 11;
-
-/// How the committed report document read out as a perf-gate baseline.
-/// Produced by [`perf_baseline`]; the `perf_gate` bin turns these into
-/// exit codes, but the classification itself is pure and unit-testable.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Baseline {
-    /// No usable `perf.wall_seconds` (resumed or failing report run, or a
-    /// section-only document) — the gate skips with a notice.
-    Missing,
-    /// The document was written by a newer schema than this binary
-    /// understands: comparing against a reshaped layout could pass or fail
-    /// for the wrong reason, so the gate must hard-error.
-    NewerSchema(u64),
-    /// A usable baseline: the committed quick-grid wall seconds, plus the
-    /// simulator worker count they were measured under (`perf.sim_threads`;
-    /// documents older than schema v8 read as 1, the serial engine). The
-    /// gate refuses to compare a candidate run against a baseline taken at
-    /// a different `sim_threads` — that would measure the knob, not a
-    /// regression.
-    Wall { wall_seconds: f64, sim_threads: u64 },
-}
-
-/// Classify a report document as a perf-gate baseline. Forward-compatible
-/// within a schema generation: *additive* sections (e.g. v7's `service`
-/// section) are ignored, and only a `schema_version` beyond this binary's
-/// [`SCHEMA_VERSION`] is rejected.
-pub fn perf_baseline(doc: &Json) -> Baseline {
-    if let Some(v) = doc.get("schema_version").and_then(Json::as_u64) {
-        if v > u64::from(SCHEMA_VERSION) {
-            return Baseline::NewerSchema(v);
-        }
-    }
-    let perf = doc.get("perf");
-    match perf.and_then(|p| p.get("wall_seconds")).and_then(Json::as_f64) {
-        Some(w) if w > 0.0 => Baseline::Wall {
-            wall_seconds: w,
-            sim_threads: perf
-                .and_then(|p| p.get("sim_threads"))
-                .and_then(Json::as_u64)
-                .unwrap_or(1),
-        },
-        _ => Baseline::Missing,
-    }
-}
+/// v12: the document is results only. The `perf` and `service` sections
+/// and `stress.wall_seconds` are gone (host time is measured by
+/// perfbench), and runs drop their `per_pe` and `epochs` detail, which
+/// stays in the grid journal.
+pub const SCHEMA_VERSION: u32 = 12;
 
 /// JSON for one successful cell: the `outcome` marker followed by the
 /// matrix's fields (scheme-keyed `speedups` and `runs` objects).
@@ -177,85 +148,34 @@ fn table_cell(n_pes: usize, schemes: &[Scheme], cell: &Json) -> TableCell {
     }
 }
 
-/// The `perf` section: host throughput of one grid run. Wall-clock numbers
-/// are host observations (they vary run to run); everything else in the
-/// document is deterministic.
-pub fn perf_json(names: &[&str], pes: &[usize], t: &GridTiming) -> Json {
-    let rate = |cycles: u64, secs: f64| {
-        if secs > 0.0 { cycles as f64 / secs } else { 0.0 }
-    };
-    let seq = Json::arr(names.iter().zip(&t.seq).map(|(name, c)| {
-        Json::obj([
-            ("kernel", name.to_json()),
-            ("wall_seconds", c.wall_seconds.to_json()),
-            ("sim_cycles", c.sim_cycles.to_json()),
-            ("cycles_per_second", rate(c.sim_cycles, c.wall_seconds).to_json()),
-        ])
-    }));
-    let cells = Json::arr(names.iter().zip(&t.cells).flat_map(|(name, row)| {
-        pes.iter().zip(row).map(|(&n, c)| {
-            Json::obj([
-                ("kernel", name.to_json()),
-                ("n_pes", n.to_json()),
-                ("wall_seconds", c.wall_seconds.to_json()),
-                ("sim_cycles", c.sim_cycles.to_json()),
-                (
-                    "sim_cycles_by_scheme",
-                    Json::obj(c.scheme_cycles.iter().map(|&(k, cy)| (k, cy.to_json()))),
-                ),
-                ("cycles_per_second", rate(c.sim_cycles, c.wall_seconds).to_json()),
-            ])
-        })
-    }));
-    let shard = t.shard();
-    let mut fields = vec![
-        ("wall_seconds", t.wall_seconds.to_json()),
-        ("sim_cycles", t.sim_cycles().to_json()),
-        ("cycles_per_second", t.cycles_per_second().to_json()),
-        ("threads", t.threads.to_json()),
-        ("sim_threads", t.sim_threads.to_json()),
-        (
-            "shard",
-            Json::obj([
-                ("static_proven", shard.static_proven.to_json()),
-                ("budget_reruns", shard.budget_reruns.to_json()),
-                ("declined", shard.declined.to_json()),
-            ]),
-        ),
-        ("seq", seq),
-        ("cells", cells),
-    ];
-    if !t.scaling.is_empty() {
-        let serial = t
-            .scaling
-            .iter()
-            .find(|p| p.sim_threads == 1)
-            .map(|p| p.wall_seconds)
-            .filter(|&w| w > 0.0);
-        fields.push((
-            "scaling",
-            Json::arr(t.scaling.iter().map(|p| {
-                let mut point = vec![
-                    ("sim_threads", p.sim_threads.to_json()),
-                    ("wall_seconds", p.wall_seconds.to_json()),
-                    ("sim_cycles", p.sim_cycles.to_json()),
-                    ("cycles_per_second", rate(p.sim_cycles, p.wall_seconds).to_json()),
-                ];
-                if let Some(base) = serial.filter(|_| p.wall_seconds > 0.0) {
-                    point.push(("speedup_vs_1", (base / p.wall_seconds).to_json()));
-                }
-                Json::obj(point)
-            })),
-        ));
+/// Drop a run's `per_pe` and `epochs` detail.
+fn strip_detail(run: &mut Json) {
+    if let Json::Obj(fields) = run {
+        fields.retain(|(k, _)| k != "per_pe" && k != "epochs");
     }
-    Json::obj(fields)
+}
+
+/// A cell as the record carries it: every field, minus the per-PE and
+/// per-epoch detail of its `seq` run and of each of its `runs`.
+fn record_cell(cell: &Json) -> Json {
+    let mut cell = cell.clone();
+    if let Json::Obj(fields) = &mut cell {
+        for (k, v) in fields.iter_mut() {
+            match (k.as_str(), v) {
+                ("seq", run) => strip_detail(run),
+                ("runs", Json::Obj(runs)) => runs.iter_mut().for_each(|(_, r)| strip_detail(r)),
+                _ => {}
+            }
+        }
+    }
+    cell
 }
 
 /// Assemble the report document from per-cell JSON values, indexed
 /// `cells[kernel][pe]`. This is the single assembly path: fresh runs build
 /// the cell values from live [`CellOutcome`]s, resumed runs mix in
 /// journaled values verbatim — both produce the same bytes for the same
-/// outcomes.
+/// outcomes. Each run's per-PE and per-epoch detail is dropped here.
 pub fn report_json_cells(
     scale: Scale,
     seed: u64,
@@ -263,7 +183,6 @@ pub fn report_json_cells(
     schemes: &[Scheme],
     names: &[&str],
     cells: &[Vec<Json>],
-    timing: Option<&GridTiming>,
 ) -> Json {
     assert_eq!(names.len(), cells.len(), "one cell row per kernel");
     let rows: Vec<Vec<TableCell>> = cells
@@ -278,15 +197,12 @@ pub fn report_json_cells(
     let kernels_json = Json::arr(names.iter().zip(cells).map(|(name, row)| {
         Json::obj([
             ("name", name.to_json()),
-            ("cells", Json::arr(row.iter().cloned())),
+            ("cells", Json::arr(row.iter().map(record_cell))),
         ])
     }));
-    let mut fields = vec![
+    Json::obj([
         ("schema_version", SCHEMA_VERSION.to_json()),
-        (
-            "paper",
-            "A Compiler-Directed Cache Coherence Scheme Using Data Prefetching".to_json(),
-        ),
+        ("paper", PAPER.to_json()),
         ("scale", scale.name().to_json()),
         ("seed", seed.to_json()),
         ("pe_counts", pes.to_json()),
@@ -299,123 +215,109 @@ pub fn report_json_cells(
                 ("improvement", format_improvement_cells(&trows).to_json()),
             ]),
         ),
-    ];
-    if let Some(t) = timing {
-        fields.push(("perf", perf_json(names, pes, t)));
-    }
-    Json::obj(fields)
+    ])
 }
 
-/// Assemble the report document for a completed (fully successful) grid
-/// run. `grid` is indexed `[kernel][pe_count]`, as produced by
-/// [`crate::run_grid`]. `seed` is the fault-decision seed the run was
-/// invoked with (recorded for reproducibility even when the grid itself
-/// runs fault-free).
-pub fn report_json(
-    scale: Scale,
-    seed: u64,
-    pes: &[usize],
-    schemes: &[Scheme],
-    kernels: &[BenchKernel],
-    grid: &[Vec<SchemeMatrix>],
-    timing: Option<&GridTiming>,
-) -> Json {
-    assert_eq!(kernels.len(), grid.len(), "one matrix row per kernel");
-    let names: Vec<&str> = kernels.iter().map(|k| k.name).collect();
-    let cells: Vec<Vec<Json>> =
-        grid.iter().map(|row| row.iter().map(cell_json_ok).collect()).collect();
-    report_json_cells(scale, seed, pes, schemes, &names, &cells, timing)
+/// Put `section` under `key` in the report document at `path` and write
+/// it back atomically. An existing `key` is replaced in place, so
+/// re-running one producer never reorders the file; a new key goes last.
+/// A missing file starts a document holding only the schema version and
+/// the paper title. A file that exists but does not parse is an error
+/// naming the file and the parse error: overwriting it would lose every
+/// other section.
+pub fn merge_section_at(path: &Path, key: &str, section: Json) -> Result<(), String> {
+    let mut doc = match std::fs::read_to_string(path) {
+        Ok(text) => ccdp_json::parse(&text)
+            .map_err(|e| format!("{} does not parse ({e}); not overwriting it", path.display()))?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Json::obj([
+            ("schema_version", SCHEMA_VERSION.to_json()),
+            ("paper", PAPER.to_json()),
+        ]),
+        Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
+    };
+    let Json::Obj(pairs) = &mut doc else {
+        return Err(format!("{} is not a JSON object; not overwriting it", path.display()));
+    };
+    match pairs.iter_mut().find(|(k, _)| k == key) {
+        Some((_, v)) => *v = section,
+        None => pairs.push((key.to_string(), section)),
+    }
+    ccdp_json::write_atomic(path, &doc.to_pretty())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// [`merge_section_at`] on [`REPORT_FILE`] for the section-producing bins:
+/// exits 1 with the error on failure.
+pub fn merge_section(key: &str, section: Json) {
+    match merge_section_at(Path::new(REPORT_FILE), key, section) {
+        Ok(()) => eprintln!("merged {key} section into {REPORT_FILE}"),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 #[cfg(test)]
 mod unit {
     use super::*;
-    use crate::{paper_kernels, run_grid_timed};
+    use crate::journal::{header_line, run_journaled_grid};
+    use crate::paper_kernels;
+    use crate::resilience::GridOptions;
 
-    /// Pins the gate's forward-compat contract: additive sections (v7's
-    /// `service`, v8's `perf.scaling`) are ignored, only a genuinely newer
-    /// schema is rejected — and pre-v8 baselines read as the serial engine.
-    #[test]
-    fn perf_baseline_forward_compat() {
-        let v8 = ccdp_json::parse(
-            r#"{"schema_version": 8,
-                "perf": {"wall_seconds": 2.5, "sim_threads": 4,
-                         "scaling": [{"sim_threads": 1, "wall_seconds": 5.0}]},
-                "service": {"profiles": [{"name": "soak", "qps": 120.0}]}}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            perf_baseline(&v8),
-            Baseline::Wall { wall_seconds: 2.5, sim_threads: 4 }
-        );
-
-        // Older documents (no sim_threads recorded) were measured by the
-        // serial engine — the only one that existed.
-        let v7 = ccdp_json::parse(r#"{"schema_version": 7, "perf": {"wall_seconds": 1.0}}"#)
-            .unwrap();
-        assert_eq!(
-            perf_baseline(&v7),
-            Baseline::Wall { wall_seconds: 1.0, sim_threads: 1 }
-        );
-
-        // The committed v10 baseline still reads: v11 only dropped
-        // `perf.shard` keys the gate never consulted.
-        let v10 = ccdp_json::parse(
-            r#"{"schema_version": 10, "perf": {"wall_seconds": 2.0, "sim_threads": 1}}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            perf_baseline(&v10),
-            Baseline::Wall { wall_seconds: 2.0, sim_threads: 1 }
-        );
-
-        // Newer-than-us must be a hard signal, not a silent comparison.
-        let v12 = ccdp_json::parse(r#"{"schema_version": 12, "perf": {"wall_seconds": 1.0}}"#)
-            .unwrap();
-        assert_eq!(perf_baseline(&v12), Baseline::NewerSchema(12));
-
-        // Service-only documents (no perf timing) skip, not error.
-        let no_perf =
-            ccdp_json::parse(r#"{"schema_version": 8, "service": {"profiles": []}}"#).unwrap();
-        assert_eq!(perf_baseline(&no_perf), Baseline::Missing);
-        let bad_wall =
-            ccdp_json::parse(r#"{"schema_version": 8, "perf": {"wall_seconds": 0}}"#).unwrap();
-        assert_eq!(perf_baseline(&bad_wall), Baseline::Missing);
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("ccdp-report-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
     fn report_document_shape() {
         let kernels = paper_kernels(Scale::Quick);
+        let kernels = &kernels[..2];
+        let names: Vec<&str> = kernels.iter().map(|k| k.name).collect();
         let pes = [2usize];
         let schemes = crate::GRID_SCHEMES;
-        let (grid, mut timing) =
-            run_grid_timed(&kernels[..2], &pes, &schemes).expect("coherent grid");
-        timing.scaling = vec![
-            crate::ScalingPoint { sim_threads: 1, wall_seconds: 4.0, sim_cycles: 100 },
-            crate::ScalingPoint { sim_threads: 2, wall_seconds: 2.5, sim_cycles: 100 },
-        ];
-        let j =
-            report_json(Scale::Quick, 9, &pes, &schemes, &kernels[..2], &grid, Some(&timing));
-        assert_eq!(j.get("schema_version").and_then(Json::as_u64), Some(11));
+        let opts = GridOptions::default();
+        let dir = tmp_dir("shape");
+        let journal = dir.join("grid.journal.jsonl");
+        let header = header_line("report", Scale::Quick, 9, &pes, &schemes, &opts);
+        let run = run_journaled_grid(kernels, &pes, &schemes, &opts, &journal, &header, false)
+            .expect("journaled run");
+        assert!(run.failures.is_empty());
+        let j = report_json_cells(Scale::Quick, 9, &pes, &schemes, &names, &run.cells);
+        assert_eq!(j.get("schema_version").and_then(Json::as_u64), Some(12));
         assert_eq!(j.get("scale").and_then(Json::as_str), Some("quick"));
         assert_eq!(j.get("seed").and_then(Json::as_u64), Some(9));
         let schemes_json = j.get("schemes").unwrap().items();
         assert_eq!(schemes_json.len(), 4);
         assert_eq!(schemes_json[0].as_str(), Some("base"));
+        // Results only: no host-time sections.
+        for key in ["perf", "service"] {
+            assert!(j.get(key).is_none(), "the record has no {key} section");
+        }
         let ks = j.get("kernels").unwrap().items();
         assert_eq!(ks.len(), 2);
         assert_eq!(ks[0].get("name").and_then(Json::as_str), Some("MXM"));
         let cell = &ks[0].get("cells").unwrap().items()[0];
         assert_eq!(cell.get("outcome").and_then(Json::as_str), Some("ok"));
+        assert!(cell.get("seq").unwrap().get("cycles").and_then(Json::as_u64).unwrap() > 0);
         let runs = cell.get("runs").expect("scheme-keyed runs object");
         for key in ["base", "ccdp", "mesi", "dragon"] {
             let r = runs.get(key).unwrap_or_else(|| panic!("missing run {key}"));
             assert!(r.get("cycles").and_then(Json::as_u64).unwrap() > 0, "{key}");
+            for field in ["totals", "prefetch_quality", "oracle"] {
+                assert!(r.get(field).is_some(), "runs.{key}.{field}");
+            }
             assert!(
                 cell.get("speedups").unwrap().get(key).and_then(Json::as_f64).unwrap() > 0.0
             );
         }
-        assert!(runs.get("ccdp").unwrap().get("epochs").unwrap().items().len() >= 2);
+        // The per-PE and per-epoch detail is nowhere in the record.
+        let text = j.to_pretty();
+        for key in ["\"per_pe\"", "\"epochs\""] {
+            assert!(!text.contains(key), "{key} must not appear in the record");
+        }
         let tables = j.get("tables").unwrap();
         let t1 = tables.get("speedup").and_then(Json::as_str).unwrap();
         assert!(t1.contains("Table 1"));
@@ -427,55 +329,71 @@ mod unit {
             .and_then(Json::as_str)
             .unwrap()
             .contains("Table 2"));
-        // Per-PE fault accounting is present (and zero) in fault-free cells.
+        // Fault accounting is present (and zero) in fault-free totals.
         let totals = runs.get("ccdp").unwrap().get("totals").unwrap();
         let faults = totals.get("faults").expect("faults object in totals");
         assert_eq!(faults.get("prefetches_dropped").and_then(Json::as_u64), Some(0));
         assert_eq!(faults.get("demand_fallbacks").and_then(Json::as_u64), Some(0));
+        assert!(totals.get("breakdown").is_some());
         // Hardware runs charge bus traffic through the same stats plumbing.
         let mesi_totals = runs.get("mesi").unwrap().get("totals").unwrap();
         assert!(mesi_totals.get("bus_txns").and_then(Json::as_u64).unwrap() > 0);
-        // The perf section reflects the timed run: one seq entry per
-        // kernel, one cell entry per (kernel, pe) pair, positive wall time.
-        let perf = j.get("perf").expect("perf section");
-        assert_eq!(perf.get("seq").unwrap().items().len(), 2);
-        assert_eq!(perf.get("cells").unwrap().items().len(), 2);
-        assert!(perf.get("wall_seconds").and_then(Json::as_f64).unwrap() > 0.0);
-        assert!(perf.get("sim_cycles").and_then(Json::as_u64).unwrap() > 0);
-        assert!(perf.get("threads").and_then(Json::as_u64).unwrap() >= 1);
-        // v8: the engine configuration the wall numbers describe, plus the
-        // attached scaling probe with derived speedup_vs_1.
-        assert!(perf.get("sim_threads").and_then(Json::as_u64).unwrap() >= 1);
-        // v11: shard-path counters are proven instances plus declines.
-        let shard = perf.get("shard").expect("shard counters (schema v11)");
-        for key in ["static_proven", "budget_reruns", "declined"] {
-            assert!(shard.get(key).and_then(Json::as_u64).is_some(), "missing shard.{key}");
-        }
-        for key in ["dynamic_logged", "conflicts", "dynamic_checks_skipped"] {
-            assert!(shard.get(key).is_none(), "shard.{key} was dropped in v11");
-        }
-        let scaling = perf.get("scaling").expect("scaling probe rows").items();
-        assert_eq!(scaling.len(), 2);
-        assert_eq!(scaling[0].get("sim_threads").and_then(Json::as_u64), Some(1));
-        assert_eq!(scaling[1].get("sim_threads").and_then(Json::as_u64), Some(2));
-        let s1 = scaling[1].get("speedup_vs_1").and_then(Json::as_f64).unwrap();
-        assert!((s1 - 1.6).abs() < 1e-12, "4.0s / 2.5s = 1.6x, got {s1}");
-        let cell0 = &perf.get("cells").unwrap().items()[0];
-        assert_eq!(cell0.get("kernel").and_then(Json::as_str), Some("MXM"));
-        assert_eq!(cell0.get("n_pes").and_then(Json::as_u64), Some(2));
-        // Per-scheme sim-cycle rows sum to the cell total (schema v6).
-        let by_scheme = cell0.get("sim_cycles_by_scheme").expect("per-scheme rows");
-        let sum: u64 = ["base", "ccdp", "mesi", "dragon"]
-            .iter()
-            .map(|k| by_scheme.get(k).and_then(Json::as_u64).unwrap())
-            .sum();
-        assert_eq!(cell0.get("sim_cycles").and_then(Json::as_u64), Some(sum));
+        // The journal line for the same cell keeps the detail.
+        let lines = std::fs::read_to_string(&journal).unwrap();
+        let line = lines
+            .lines()
+            .map(|l| ccdp_json::parse(l).unwrap())
+            .find(|l| {
+                l.get("kernel").and_then(Json::as_str) == Some("MXM")
+                    && l.get("n_pes").and_then(Json::as_u64) == Some(2)
+            })
+            .expect("MXM P=2 journaled");
+        let data = line.get("data").unwrap();
+        assert!(!data.get("seq").unwrap().get("per_pe").unwrap().items().is_empty());
+        let ccdp = data.get("runs").unwrap().get("ccdp").unwrap();
+        assert_eq!(ccdp.get("per_pe").unwrap().items().len(), 2);
+        assert!(ccdp.get("epochs").unwrap().items().len() >= 2);
         // The whole document survives a print→parse round trip.
-        let parsed = ccdp_json::parse(&j.to_pretty()).unwrap();
-        assert_eq!(parsed.get("schema_version").and_then(Json::as_u64), Some(11));
-        // Omitting timing omits the section (ablation callers).
-        let j2 = report_json(Scale::Quick, 9, &pes, &schemes, &kernels[..2], &grid, None);
-        assert!(j2.get("perf").is_none());
+        let parsed = ccdp_json::parse(&text).unwrap();
+        assert_eq!(parsed.to_pretty(), text);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn merge_replaces_an_existing_key_in_place() {
+        let dir = tmp_dir("merge");
+        let path = dir.join("report.json");
+        // A missing file starts a fresh document.
+        merge_section_at(&path, "stress", Json::obj([("v", 1u64.to_json())])).unwrap();
+        merge_section_at(&path, "lint", Json::obj([("v", 2u64.to_json())])).unwrap();
+        let keys = |path: &Path| -> Vec<String> {
+            match ccdp_json::parse(&std::fs::read_to_string(path).unwrap()).unwrap() {
+                Json::Obj(pairs) => pairs.into_iter().map(|(k, _)| k).collect(),
+                _ => panic!("not an object"),
+            }
+        };
+        assert_eq!(keys(&path), ["schema_version", "paper", "stress", "lint"]);
+        // Re-running the first producer replaces its value, not its place.
+        merge_section_at(&path, "stress", Json::obj([("v", 3u64.to_json())])).unwrap();
+        assert_eq!(keys(&path), ["schema_version", "paper", "stress", "lint"]);
+        let doc = ccdp_json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(doc.get("stress").unwrap().get("v").and_then(Json::as_u64), Some(3));
+        assert_eq!(doc.get("lint").unwrap().get("v").and_then(Json::as_u64), Some(2));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn merge_refuses_to_overwrite_an_unparseable_report() {
+        let dir = tmp_dir("merge-bad");
+        let path = dir.join("report.json");
+        let conflicted = "{\n<<<<<<< HEAD\n  \"schema_version\": 12\n=======\n}\n";
+        std::fs::write(&path, conflicted).unwrap();
+        let err = merge_section_at(&path, "lint", Json::obj([("v", 1u64.to_json())]))
+            .expect_err("an unparseable report must not be replaced");
+        assert!(err.contains(&path.display().to_string()), "names the file: {err}");
+        assert!(err.contains("does not parse ("), "carries the parse error: {err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), conflicted, "file left as it was");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -493,7 +411,7 @@ mod unit {
         assert_eq!(failure.get("cycles").and_then(Json::as_u64), Some(1000));
         // A grid with only this cell still renders tables, with -- cells.
         let schemes = crate::GRID_SCHEMES;
-        let j = report_json_cells(Scale::Quick, 0, &[4], &schemes, &["MXM"], &[vec![cj]], None);
+        let j = report_json_cells(Scale::Quick, 0, &[4], &schemes, &["MXM"], &[vec![cj]]);
         let t1 = j.get("tables").unwrap().get("speedup").and_then(Json::as_str).unwrap();
         assert!(t1.contains("--"));
         // The parse→re-emit round trip is byte-stable (the resume path

@@ -1,16 +1,17 @@
 //! Cell isolation for grid runs: budgets, panic containment, watchdogs,
 //! and classified per-cell outcomes.
 //!
-//! [`crate::run_grid`] fails the whole grid on the first error — fine for
-//! tests, wrong for a long experiment sweep where one pathological cell
-//! (a runaway synthesized program, a panic in a fresh code path, a host
-//! hiccup) should not discard hours of completed work. This module runs
-//! each (kernel × PE count) cell under [`std::panic::catch_unwind`] with a
+//! A long experiment sweep must not discard hours of completed work
+//! because one pathological cell (a runaway synthesized program, a panic
+//! in a fresh code path, a host hiccup) failed. This module runs each
+//! (kernel × PE count) cell under [`std::panic::catch_unwind`] with a
 //! cooperative wall-clock watchdog and per-run cycle/step budgets
 //! ([`t3d_sim::SimOptions`]), classifies every failure into a
 //! [`CellFailure`], retries once (same seed, same config) when the failure
 //! could be a host flake rather than a deterministic property of the cell,
 //! and reports a full grid of [`CellOutcome`]s instead of aborting.
+//! [`crate::run_grid`] is a thin call of [`run_grid_isolated`] that turns
+//! the first failed cell into its error.
 //!
 //! The `on_cell` callback fires as each cell completes — the journal layer
 //! ([`crate::journal`]) uses it to checkpoint finished cells so an
@@ -19,12 +20,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use ccdp_core::{
-    compare_with_seq, run_seq, EnvOverrides, PipelineConfig, PipelineError, Scheme, SchemeMatrix,
-};
+use ccdp_core::{compare_with_seq, run_seq, PipelineConfig, PipelineError, Scheme, SchemeMatrix};
 use t3d_sim::{FaultPlan, SimResult};
 
-use crate::{cell_config, pooled, BenchKernel, CellTiming, GridTiming};
+use crate::{cell_config, pooled, BenchKernel};
 
 /// Budgets and watchdogs applied to every cell of an isolated grid run.
 /// All default to off: an unbudgeted isolated run still contains panics,
@@ -137,19 +136,6 @@ pub struct IsolatedCell {
     pub kernel: &'static str,
     pub n_pes: usize,
     pub outcome: CellOutcome,
-    pub timing: CellTiming,
-}
-
-/// Result of [`run_grid_isolated`].
-pub struct IsolatedGrid {
-    /// `outcomes[kernel][pe]`; `None` where the cell was not in `todo`
-    /// (already journaled by a previous run).
-    pub outcomes: Vec<Vec<Option<CellOutcome>>>,
-    /// Host-side timing for the `perf` section. `Some` only when `todo`
-    /// covered the whole grid and every run (sequential denominators
-    /// included) succeeded — partial or failing runs produce no comparable
-    /// throughput baseline.
-    pub timing: Option<GridTiming>,
 }
 
 fn apply_budgets(cfg: &mut PipelineConfig, opts: &GridOptions, deadline: Option<Instant>) {
@@ -233,11 +219,12 @@ fn guarded<T>(
 /// sequential denominator and every scheme cell is contained, budgeted,
 /// classified, and checkpointed through `on_cell` the moment it finishes.
 ///
-/// `todo` lists `(kernel index, pe index)` cells to simulate; cells not
-/// listed stay `None` in the result (the caller already has them from a
-/// journal). A kernel whose sequential denominator fails poisons all of
-/// that kernel's requested cells with the same (cloned) failure — there is
-/// no speedup to compute without the denominator.
+/// `todo` lists `(kernel index, pe index)` cells to simulate. The result
+/// is indexed `[kernel][pe]`; cells not listed stay `None` (the caller
+/// already has them from a journal). A kernel whose sequential
+/// denominator fails poisons all of that kernel's requested cells with the
+/// same (cloned) failure — there is no speedup to compute without the
+/// denominator.
 pub fn run_grid_isolated(
     kernels: &[BenchKernel],
     pes: &[usize],
@@ -245,12 +232,11 @@ pub fn run_grid_isolated(
     todo: &[(usize, usize)],
     opts: &GridOptions,
     on_cell: impl Fn(&IsolatedCell) + Sync,
-) -> IsolatedGrid {
-    let t0 = Instant::now();
+) -> Vec<Vec<Option<CellOutcome>>> {
     let mut outcomes: Vec<Vec<Option<CellOutcome>>> =
         kernels.iter().map(|_| vec![None; pes.len()]).collect();
     if todo.is_empty() {
-        return IsolatedGrid { outcomes, timing: None };
+        return outcomes;
     }
     for &(ki, pi) in todo {
         assert!(ki < kernels.len() && pi < pes.len(), "todo cell out of grid bounds");
@@ -266,26 +252,23 @@ pub fn run_grid_isolated(
     let kis: Vec<usize> = (0..kernels.len()).filter(|&ki| need[ki]).collect();
     let seq_runs = pooled(kis.len(), threads, |i| {
         let k = &kernels[kis[i]];
-        let t = Instant::now();
-        let r = guarded(opts.cell_timeout, |deadline| {
+        guarded(opts.cell_timeout, |deadline| {
             let mut cfg = cell_config(k, pes[0]);
             apply_budgets(&mut cfg, opts, deadline);
             run_seq(&k.program, &cfg)
-        });
-        (r, t.elapsed().as_secs_f64())
+        })
     });
-    let mut seqs: Vec<Option<(Result<SimResult, CellFailure>, f64)>> =
+    let mut seqs: Vec<Option<Result<SimResult, CellFailure>>> =
         (0..kernels.len()).map(|_| None).collect();
-    for (i, (r, secs)) in seq_runs.into_iter().enumerate() {
-        seqs[kis[i]] = Some((r, secs));
+    for (i, r) in seq_runs.into_iter().enumerate() {
+        seqs[kis[i]] = Some(r);
     }
 
     // Stage 2: the requested cells, each isolated and checkpointed.
     let cells = pooled(todo.len(), threads, |i| {
         let (ki, pi) = todo[i];
         let k = &kernels[ki];
-        let t = Instant::now();
-        let seq = &seqs[ki].as_ref().expect("stage 1 covered this kernel").0;
+        let seq = seqs[ki].as_ref().expect("stage 1 covered this kernel");
         let outcome = match seq {
             Err(f) => CellOutcome::Fail(f.clone()),
             Ok(seq) => {
@@ -299,59 +282,16 @@ pub fn run_grid_isolated(
                 }
             }
         };
-        let timing = match &outcome {
-            CellOutcome::Ok(c) => CellTiming::from_matrix(t.elapsed().as_secs_f64(), c),
-            CellOutcome::Fail(_) => {
-                CellTiming { wall_seconds: t.elapsed().as_secs_f64(), ..Default::default() }
-            }
-        };
-        let cell = IsolatedCell { kernel: k.name, n_pes: pes[pi], outcome, timing };
+        let cell = IsolatedCell { kernel: k.name, n_pes: pes[pi], outcome };
         on_cell(&cell);
         cell
     });
 
-    let full_grid = todo.len() == kernels.len() * pes.len();
-    let all_ok = cells.iter().all(|c| c.outcome.is_ok())
-        && seqs.iter().flatten().all(|(r, _)| r.is_ok());
-    let timing = if full_grid && all_ok {
-        let seq_timing: Vec<CellTiming> = seqs
-            .iter()
-            .map(|s| {
-                let (r, secs) = s.as_ref().expect("full grid covers every kernel");
-                let cycles = r.as_ref().map_or(0, |sr| sr.cycles);
-                CellTiming {
-                    wall_seconds: *secs,
-                    sim_cycles: cycles,
-                    scheme_cycles: Vec::new(),
-                    shard: Default::default(),
-                }
-            })
-            .collect();
-        let mut cell_timing: Vec<Vec<CellTiming>> =
-            kernels.iter().map(|_| vec![CellTiming::default(); pes.len()]).collect();
-        for (i, c) in cells.iter().enumerate() {
-            let (ki, pi) = todo[i];
-            cell_timing[ki][pi] = c.timing.clone();
-        }
-        Some(GridTiming {
-            wall_seconds: t0.elapsed().as_secs_f64(),
-            threads,
-            sim_threads: EnvOverrides::from_env()
-                .ok()
-                .and_then(|e| e.sim_threads)
-                .unwrap_or(1),
-            seq: seq_timing,
-            cells: cell_timing,
-            scaling: Vec::new(),
-        })
-    } else {
-        None
-    };
     for (i, c) in cells.into_iter().enumerate() {
         let (ki, pi) = todo[i];
         outcomes[ki][pi] = Some(c.outcome);
     }
-    IsolatedGrid { outcomes, timing }
+    outcomes
 }
 
 #[cfg(test)]
@@ -408,18 +348,17 @@ mod unit {
         let opts = GridOptions { cycle_budget: Some(10), ..Default::default() };
         let schemes = [Scheme::Base, Scheme::Ccdp];
         let grid = run_grid_isolated(&kernels[..1], &[2], &schemes, &[(0, 0)], &opts, |_| {});
-        let out = grid.outcomes[0][0].as_ref().expect("cell was requested");
+        let out = grid[0][0].as_ref().expect("cell was requested");
         match out {
             CellOutcome::Fail(CellFailure::BudgetExceeded { cycles, .. }) => {
                 assert!(*cycles > 10);
             }
             other => panic!("expected BudgetExceeded, got {:?}", other.class()),
         }
-        assert!(grid.timing.is_none(), "failed grids have no perf baseline");
     }
 
     #[test]
-    fn clean_full_grid_has_timing_and_ok_cells() {
+    fn clean_full_grid_has_ok_cells() {
         let kernels = paper_kernels(Scale::Quick);
         let opts = GridOptions::default();
         let calls = std::sync::Mutex::new(Vec::new());
@@ -428,15 +367,11 @@ mod unit {
             run_grid_isolated(&kernels[..1], &[1, 2], &schemes, &[(0, 0), (0, 1)], &opts, |c| {
                 calls.lock().unwrap().push((c.kernel, c.n_pes, c.outcome.class()));
             });
-        assert!(grid.outcomes[0].iter().all(|o| o.as_ref().unwrap().is_ok()));
-        match grid.outcomes[0][0].as_ref().unwrap() {
+        assert!(grid[0].iter().all(|o| o.as_ref().unwrap().is_ok()));
+        match grid[0][0].as_ref().unwrap() {
             CellOutcome::Ok(m) => assert_eq!(m.runs.len(), schemes.len()),
             CellOutcome::Fail(f) => panic!("cell failed: {f}"),
         }
-        let t = grid.timing.expect("clean full grid carries timing");
-        assert_eq!(t.seq.len(), 1);
-        assert_eq!(t.cells[0][0].scheme_cycles.len(), schemes.len());
-        assert!(t.sim_cycles() > 0);
         let calls = calls.into_inner().unwrap();
         assert_eq!(calls.len(), 2);
         assert!(calls.iter().all(|(k, _, class)| *k == "MXM" && *class == "ok"));

@@ -8,7 +8,6 @@
 //! | `CCDP_SEED`             | decision-stream seed for fault-injecting runs  |
 //! | `CCDP_SCALE`            | benchmark problem size: `quick` (default) or `paper` |
 //! | `CCDP_BENCH_QUICK`      | `1` shrinks the vendored-criterion measurement budget |
-//! | `CCDP_PERF_GATE_FACTOR` | allowed slowdown factor for the CI perf gate   |
 //! | `CCDP_SERVE_WORKERS`    | default worker-process count for ccdpd         |
 //! | `CCDP_COMPACT_BYTES`    | journal compaction threshold for ccdpd (0 = off) |
 //!
@@ -52,10 +51,6 @@ pub struct EnvOverrides {
     /// criterion shim (for `cargo bench` invocations that cannot forward
     /// the `--quick` flag).
     pub bench_quick: bool,
-    /// `CCDP_PERF_GATE_FACTOR=<f64>`: allowed slowdown factor for the CI
-    /// performance-regression gate. `None` when unset (the gate picks its
-    /// default).
-    pub perf_gate_factor: Option<f64>,
     /// `CCDP_SERVE_WORKERS=<n>`: default worker-process count for the
     /// ccdpd supervisor (`--workers` still wins). `None` when unset.
     pub serve_workers: Option<usize>,
@@ -99,19 +94,6 @@ impl EnvOverrides {
                 "1" => true,
                 _ => return Err(bad_env("CCDP_BENCH_QUICK", v, "expected \"0\" or \"1\"")),
             };
-        }
-        if let Ok(v) = std::env::var("CCDP_PERF_GATE_FACTOR") {
-            let f = v
-                .parse::<f64>()
-                .map_err(|_| bad_env("CCDP_PERF_GATE_FACTOR", v.clone(), "expected a float"))?;
-            if !(f.is_finite() && f > 0.0) {
-                return Err(bad_env(
-                    "CCDP_PERF_GATE_FACTOR",
-                    v,
-                    "expected a positive finite float",
-                ));
-            }
-            o.perf_gate_factor = Some(f);
         }
         if let Ok(v) = std::env::var("CCDP_SERVE_WORKERS") {
             let n = v
@@ -180,12 +162,11 @@ mod unit {
         out
     }
 
-    const ALL_UNSET: [(&str, Option<&str>); 7] = [
+    const ALL_UNSET: [(&str, Option<&str>); 6] = [
         ("CCDP_SIM_THREADS", None),
         ("CCDP_SEED", None),
         ("CCDP_SCALE", None),
         ("CCDP_BENCH_QUICK", None),
-        ("CCDP_PERF_GATE_FACTOR", None),
         ("CCDP_SERVE_WORKERS", None),
         ("CCDP_COMPACT_BYTES", None),
     ];
@@ -198,7 +179,6 @@ mod unit {
         assert_eq!(o.seed, None);
         assert_eq!(o.scale, ScalePreset::Quick);
         assert!(!o.bench_quick);
-        assert_eq!(o.perf_gate_factor, None);
         assert_eq!(o.serve_workers, None);
         assert_eq!(o.compact_bytes, None);
     }
@@ -211,7 +191,6 @@ mod unit {
                 ("CCDP_SEED", Some("42")),
                 ("CCDP_SCALE", Some("paper")),
                 ("CCDP_BENCH_QUICK", Some("1")),
-                ("CCDP_PERF_GATE_FACTOR", Some("1.5")),
                 ("CCDP_SERVE_WORKERS", Some("3")),
                 ("CCDP_COMPACT_BYTES", Some("65536")),
             ],
@@ -222,7 +201,6 @@ mod unit {
         assert_eq!(o.seed, Some(42));
         assert_eq!(o.scale, ScalePreset::Paper);
         assert!(o.bench_quick);
-        assert_eq!(o.perf_gate_factor, Some(1.5));
         assert_eq!(o.serve_workers, Some(3));
         assert_eq!(o.compact_bytes, Some(65536));
     }
@@ -236,9 +214,6 @@ mod unit {
             ("CCDP_SEED", "banana"),
             ("CCDP_SCALE", "fast"),
             ("CCDP_BENCH_QUICK", "true"),
-            ("CCDP_PERF_GATE_FACTOR", "lots"),
-            ("CCDP_PERF_GATE_FACTOR", "-2"),
-            ("CCDP_PERF_GATE_FACTOR", "0"),
             ("CCDP_SERVE_WORKERS", "0"),
             ("CCDP_SERVE_WORKERS", "two"),
             ("CCDP_COMPACT_BYTES", "big"),

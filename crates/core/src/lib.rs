@@ -41,8 +41,8 @@
 //! CCDP over BASE (Table 2), generalized to an N-way [`SchemeMatrix`].
 //!
 //! Environment overrides (`CCDP_SIM_THREADS`, `CCDP_SEED`, `CCDP_SCALE`,
-//! `CCDP_BENCH_QUICK`, `CCDP_PERF_GATE_FACTOR`, `CCDP_SERVE_WORKERS`,
-//! `CCDP_COMPACT_BYTES`) are parsed in exactly one place:
+//! `CCDP_BENCH_QUICK`, `CCDP_SERVE_WORKERS`, `CCDP_COMPACT_BYTES`) are
+//! parsed in exactly one place:
 //! [`EnvOverrides::from_env`].
 
 mod env;

@@ -24,13 +24,13 @@
 //!   matter how many workers (or supervisors) died while computing it;
 //! * the post-soak drain: SIGTERM exits 0.
 //!
-//! Results merge into `BENCH_ccdp.json` as `service.supervision`
-//! (restarts, redispatches, orphan replays, recovery-latency p50/p99 —
-//! report schema v9) unless `--no-merge`.
+//! The results (restarts, redispatches, orphan replays, recovery-latency
+//! p50/p99) print as one compact JSON line on stdout; they depend on host
+//! timing, so they are not part of the deterministic `BENCH_ccdp.json`
+//! record.
 //!
 //! Flags: `--quick`, `--seed S`, `--workers N`, `--kill-every-ms MS`,
-//! `--no-supervisor-kill`, `--journal-dir DIR`, `--out PATH`,
-//! `--no-merge`, `--ccdpd PATH`.
+//! `--no-supervisor-kill`, `--journal-dir DIR`, `--ccdpd PATH`.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -40,7 +40,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ccdp_bench::report::SCHEMA_VERSION;
 use ccdp_bench::synth::{random_program, SynthConfig};
 use ccdp_ir::print_program;
 use ccdp_json::{Json, ToJson};
@@ -341,7 +340,6 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let no_merge = args.iter().any(|a| a == "--no-merge");
     let kill_supervisor = !args.iter().any(|a| a == "--no-supervisor-kill");
     let seed: u64 = flag_value(&args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(1997);
     let workers: usize =
@@ -351,7 +349,6 @@ fn main() {
             .and_then(|v| v.parse().ok())
             .unwrap_or(if quick { 250 } else { 400 }),
     );
-    let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_ccdp.json".to_string());
     let journal_dir = flag_value(&args, "--journal-dir")
         .unwrap_or_else(|| "results/chaos-journal".to_string());
     let ccdpd = flag_value(&args, "--ccdpd").map(std::path::PathBuf::from).unwrap_or_else(|| {
@@ -623,9 +620,7 @@ fn main() {
         ("drain_exit_zero", drain_ok.to_json()),
         ("passed", passed.to_json()),
     ]);
-    if !no_merge {
-        merge_supervision(&out, section);
-    }
+    println!("{}", section.to_string());
 
     for f in failures.iter().take(20) {
         eprintln!("chaos: FAIL — {f}");
@@ -635,52 +630,4 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("chaos: all crash-recovery assertions passed");
-}
-
-/// Merge as `service.supervision`, preserving the rest of the `service`
-/// section (loadgen's profiles) and bumping `schema_version` — the
-/// supervision subsection is the v9 addition.
-fn merge_supervision(out: &str, section: Json) {
-    let path = std::path::Path::new(out);
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| ccdp_json::parse(&s).ok())
-        .unwrap_or_else(|| {
-            Json::obj([
-                ("schema_version", SCHEMA_VERSION.to_json()),
-                (
-                    "paper",
-                    "A Compiler-Directed Cache Coherence Scheme Using Data Prefetching"
-                        .to_json(),
-                ),
-            ])
-        });
-    if let Json::Obj(pairs) = &mut doc {
-        for (k, v) in pairs.iter_mut() {
-            if k == "schema_version" {
-                *v = SCHEMA_VERSION.to_json();
-            }
-        }
-        let service = pairs.iter_mut().find(|(k, _)| k == "service").map(|(_, v)| v);
-        match service {
-            Some(Json::Obj(sp)) => {
-                sp.retain(|(k, _)| k != "supervision");
-                sp.push(("supervision".to_string(), section));
-            }
-            _ => {
-                pairs.retain(|(k, _)| k != "service");
-                pairs.push((
-                    "service".to_string(),
-                    Json::obj([("supervision", section)]),
-                ));
-            }
-        }
-    }
-    match ccdp_json::write_atomic(path, &doc.to_pretty()) {
-        Ok(()) => eprintln!("merged service.supervision into {out}"),
-        Err(e) => {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
 }

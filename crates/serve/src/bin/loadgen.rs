@@ -18,18 +18,19 @@
 //!
 //! Every profile asserts zero lost (no response), duplicated (bytes past
 //! the declared response), or corrupted (unparseable / wrong-shape)
-//! responses. Results merge into `BENCH_ccdp.json` as the `service`
-//! section (report schema v7) unless `--no-merge`.
+//! responses. The results print as one compact JSON line on stdout; their
+//! QPS, latencies, shed counts and hit rates depend on host timing, so they
+//! are not part of the deterministic `BENCH_ccdp.json` record (perfbench's
+//! serve workloads measure service time).
 //!
 //! Flags: `--addr A`, `--quick`, `--profile NAME` (repeatable filter),
-//! `--burst N` (overload concurrency), `--out PATH`, `--no-merge`.
+//! `--burst N` (overload concurrency).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use ccdp_bench::report::SCHEMA_VERSION;
 use ccdp_json::{Json, ToJson};
 use ccdp_serve::api::sample_program;
 
@@ -379,8 +380,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7077".to_string());
     let quick = args.iter().any(|a| a == "--quick");
-    let no_merge = args.iter().any(|a| a == "--no-merge");
-    let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_ccdp.json".to_string());
     let burst: usize =
         flag_value(&args, "--burst").and_then(|v| v.parse().ok()).unwrap_or(48);
     let only: Vec<String> = args
@@ -487,9 +486,7 @@ fn main() {
         ("server_stats", final_stats),
         ("passed", failures.is_empty().to_json()),
     ]);
-    if !no_merge {
-        merge_into_report(&out, section);
-    }
+    println!("{}", section.to_string());
 
     for f in &failures {
         eprintln!("loadgen: FAIL — {f}");
@@ -498,40 +495,4 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("loadgen: all service contract checks passed");
-}
-
-/// Merge the `service` section into the report document (the `lint` bin's
-/// idiom), bumping `schema_version` to this binary's understanding — the
-/// section is the v7 addition.
-fn merge_into_report(out: &str, section: Json) {
-    let path = std::path::Path::new(out);
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| ccdp_json::parse(&s).ok())
-        .unwrap_or_else(|| {
-            Json::obj([
-                ("schema_version", SCHEMA_VERSION.to_json()),
-                (
-                    "paper",
-                    "A Compiler-Directed Cache Coherence Scheme Using Data Prefetching"
-                        .to_json(),
-                ),
-            ])
-        });
-    if let Json::Obj(pairs) = &mut doc {
-        for (k, v) in pairs.iter_mut() {
-            if k == "schema_version" {
-                *v = SCHEMA_VERSION.to_json();
-            }
-        }
-        pairs.retain(|(k, _)| k != "service");
-        pairs.push(("service".to_string(), section));
-    }
-    match ccdp_json::write_atomic(path, &doc.to_pretty()) {
-        Ok(()) => eprintln!("merged service section into {out}"),
-        Err(e) => {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
 }

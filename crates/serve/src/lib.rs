@@ -33,7 +33,7 @@
 //! Binaries: `ccdpd` (the daemon), `loadgen` (profiles: ramp, spike,
 //! soak, duplicate-storm, overload), and `chaos` (seeded kill-storm soak
 //! asserting zero lost/duplicated/corrupted responses); both testers
-//! merge into `BENCH_ccdp.json`'s `service` section (report schema v9).
+//! print their results as one compact JSON line on stdout.
 
 pub mod api;
 pub mod cache;

@@ -164,13 +164,12 @@ fn panicking_cell_is_contained_and_classified() {
         &GridOptions::default(),
         |_| {},
     );
-    match grid.outcomes[0][0].as_ref().expect("cell was requested") {
+    match grid[0][0].as_ref().expect("cell was requested") {
         CellOutcome::Fail(CellFailure::Panicked { retried, .. }) => {
             assert!(*retried, "a deterministic panic is retried once, then recorded");
         }
         other => panic!("expected Panicked, got {}", other.class()),
     }
-    assert!(grid.timing.is_none());
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -204,7 +203,7 @@ fn killed_run_resumes_to_byte_identical_report() {
     assert_eq!(full.reused, 0);
     assert!(full.failures.is_empty(), "quick kernels are coherent under this plan");
     let doc_full =
-        report_json_cells(Scale::Quick, 11, &pes, &schemes, &names, &full.cells, None)
+        report_json_cells(Scale::Quick, 11, &pes, &schemes, &names, &full.cells)
             .to_pretty();
 
     // "Kill" it: keep the header and the first two journaled cells, plus a
@@ -219,9 +218,8 @@ fn killed_run_resumes_to_byte_identical_report() {
     let resumed = run_journaled_grid(kernels, &pes, &schemes, &opts, &path, &header, true)
         .expect("resumed run");
     assert_eq!(resumed.reused, 2, "exactly the journaled cells are reused");
-    assert!(resumed.timing.is_none(), "resumed runs carry no perf baseline");
     let doc_resumed =
-        report_json_cells(Scale::Quick, 11, &pes, &schemes, &names, &resumed.cells, None)
+        report_json_cells(Scale::Quick, 11, &pes, &schemes, &names, &resumed.cells)
             .to_pretty();
     assert_eq!(doc_full, doc_resumed, "resumed document must be byte-identical");
 
@@ -230,7 +228,7 @@ fn killed_run_resumes_to_byte_identical_report() {
         .expect("fully replayed run");
     assert_eq!(replayed.reused, 4);
     let doc_replayed =
-        report_json_cells(Scale::Quick, 11, &pes, &schemes, &names, &replayed.cells, None)
+        report_json_cells(Scale::Quick, 11, &pes, &schemes, &names, &replayed.cells)
             .to_pretty();
     assert_eq!(doc_full, doc_replayed);
     fs::remove_dir_all(&dir).ok();
@@ -318,7 +316,7 @@ fn invalid_program_classified_not_fatal() {
         &GridOptions::default(),
         |_| {},
     );
-    match grid.outcomes[0][0].as_ref().unwrap() {
+    match grid[0][0].as_ref().unwrap() {
         CellOutcome::Fail(CellFailure::Invalid { message }) => {
             assert!(message.contains("repeat"), "message names the defect: {message}");
         }
@@ -339,7 +337,7 @@ fn journaled_cells_roundtrip_byte_stable() {
         &GridOptions::default(),
         |_| {},
     );
-    let cell = ccdp_bench::report::cell_json(grid.outcomes[0][0].as_ref().unwrap());
+    let cell = ccdp_bench::report::cell_json(grid[0][0].as_ref().unwrap());
     let line = cell.to_string();
     let reparsed: Json = ccdp_json::parse(&line).expect("cell json parses");
     assert_eq!(reparsed.to_string(), line);
