@@ -68,6 +68,29 @@ fn bench_schemes(c: &mut Criterion) {
             });
         });
     }
+    // The hardware rivals: every miss and shared write rides the snooping
+    // bus, so these cases time the presence-vector snoop as well as the
+    // hit path.
+    for n_pes in [16usize, 64] {
+        for (name, scheme) in [("mesi", Scheme::Mesi), ("dragon", Scheme::Dragon)] {
+            g.bench_with_input(BenchmarkId::new(name, n_pes), &n_pes, |b, &n| {
+                b.iter(|| {
+                    let layout = ccdp_dist::Layout::new(&program, n);
+                    black_box(
+                        Simulator::new(
+                            &program,
+                            layout,
+                            MachineConfig::t3d(n),
+                            scheme.clone(),
+                            SimOptions::default(),
+                        )
+                        .run()
+                        .cycles,
+                    )
+                });
+            });
+        }
+    }
     g.finish();
 }
 

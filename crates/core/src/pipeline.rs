@@ -372,9 +372,14 @@ impl PipelineConfig {
     ///   CCDP003 phase-race audit ([`ccdp_lint::verify_hardware`]).
     ///
     /// Every cached scheme is checked against the coherence oracle; a stale
-    /// read fails with [`PipelineError::CoherenceViolation`].
+    /// read fails with [`PipelineError::CoherenceViolation`]. A hardware
+    /// scheme on more than `t3d_sim::MAX_HARDWARE_PES` PEs fails up front
+    /// with [`PipelineError::InvalidConfig`].
     pub fn run(&self, program: &Program, scheme: Scheme) -> Result<SchemeRun, PipelineError> {
         check_inputs(program, self)?;
+        if scheme.is_hardware() {
+            self.machine.validate_hardware()?;
+        }
         let layout = self.layout_for(program);
         match scheme {
             Scheme::Base => {
@@ -723,6 +728,30 @@ mod unit {
             compare(&p, &cfg, &[Scheme::Base]),
             Err(PipelineError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn pe_counts_past_the_simulator_limits_are_rejected_up_front() {
+        let p = kernel();
+        let too_many = |r: Result<_, PipelineError>, n, m| {
+            matches!(
+                r,
+                Err(PipelineError::InvalidConfig(ConfigError::TooManyPes { n_pes, max }))
+                    if n_pes == n && max == m
+            )
+        };
+        // Owners are u8: 300 PEs is past every scheme's limit.
+        let cfg = PipelineConfig::t3d(300);
+        assert!(too_many(cfg.validate(), 300, 256));
+        assert!(too_many(cfg.run(&p, Scheme::Base).map(|_| ()), 300, 256));
+        // The presence vector has 64 bits: 65 PEs is past the hardware
+        // schemes' limit only.
+        let cfg = PipelineConfig::t3d(65);
+        assert!(cfg.validate().is_ok());
+        for scheme in [Scheme::Mesi, Scheme::Dragon] {
+            assert!(too_many(cfg.run(&p, scheme).map(|_| ()), 65, 64), "{}", scheme.name());
+        }
+        assert!(cfg.run(&p, Scheme::Base).is_ok());
     }
 
     #[test]

@@ -31,6 +31,7 @@ use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use ccdp_bench::flag_value;
 use ccdp_json::{Json, ToJson};
 use ccdp_serve::api::sample_program;
 
@@ -362,19 +363,6 @@ fn profile_overload(addr: &str, quick: bool, burst: usize) -> ProfileResult {
 }
 
 // ------------------------------------------------------------------ main
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -109,6 +109,15 @@ impl Cache {
         })
     }
 
+    /// Line address of the resident line a fill of `addr` would evict: the
+    /// valid line in `addr`'s slot, when it holds a different line.
+    #[inline]
+    pub(crate) fn victim(&self, addr: usize) -> Option<usize> {
+        let la = self.line_addr(addr);
+        let l = &self.lines[self.index_of(la)];
+        (l.valid && l.tag != la).then_some(l.tag as usize)
+    }
+
     /// Read a word from a hit line: (value, version-at-fill).
     #[inline]
     pub fn read(&self, line: usize, addr: usize) -> (f64, u32) {
@@ -257,6 +266,20 @@ mod unit {
         c.install(32, 0, 0, fill_words(1.0, 4));
         assert!(c.lookup(0).is_none(), "conflicting fill must evict");
         assert!(c.lookup(32).is_some());
+    }
+
+    #[test]
+    fn victim_names_the_line_a_fill_would_evict() {
+        let mut c = Cache::new(8, 4);
+        assert_eq!(c.victim(0), None, "empty slot evicts nothing");
+        c.install(0, 0, 0, fill_words(0.0, 4));
+        assert_eq!(c.victim(3), None, "same line refreshes, evicts nothing");
+        // Line address 8 shares slot 0 with line address 0.
+        assert_eq!(c.victim(32), Some(0));
+        c.install(32, 0, 0, fill_words(1.0, 4));
+        assert_eq!(c.victim(1), Some(8));
+        c.invalidate(32);
+        assert_eq!(c.victim(1), None, "an invalidated line is not a victim");
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub(crate) enum AccessKind {
     Cached(Handling),
     /// CCDP `Bypass` uncached read.
     Bypass,
-    /// Hardware-coherent shared read (MESI / Dragon): dispatched through
-    /// the dynamic [`crate::coherence::CoherenceBackend`] — protocol state
+    /// Hardware-coherent shared read (MESI / Dragon): runs the snooping
+    /// protocol at access time (`Simulator::hw_read`) — protocol state
     /// cannot be resolved at compile time.
     Hardware,
 }

@@ -4,6 +4,14 @@ use ccdp_prefetch::PrefetchPlan;
 
 use crate::faults::FaultPlan;
 
+/// Widest machine the simulator represents: memory records each shared
+/// word's owner PE as a `u8`.
+pub const MAX_PES: usize = u8::MAX as usize + 1;
+
+/// Widest machine the hardware schemes (MESI / Dragon) model: the snooping
+/// bus keeps one presence bit per PE in a `u64` per line.
+pub const MAX_HARDWARE_PES: usize = u64::BITS as usize;
+
 /// Why a machine configuration or fault plan is invalid. Produced by
 /// [`MachineConfig::validate`] / [`FaultPlan::validate`] and surfaced by the
 /// pipeline entry points as `PipelineError::InvalidConfig`.
@@ -11,6 +19,10 @@ use crate::faults::FaultPlan;
 pub enum ConfigError {
     /// `n_pes == 0`.
     ZeroPes,
+    /// More PEs than the simulator represents ([`MAX_PES`]), or, for a
+    /// hardware scheme, than its presence vector has bits
+    /// ([`MAX_HARDWARE_PES`]).
+    TooManyPes { n_pes: usize, max: usize },
     /// `cache_lines == 0`.
     NoCacheLines,
     /// The direct-mapped index needs a power-of-two line count.
@@ -34,6 +46,9 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroPes => write!(f, "machine has zero PEs"),
+            ConfigError::TooManyPes { n_pes, max } => {
+                write!(f, "machine has {n_pes} PEs; at most {max} are supported")
+            }
             ConfigError::NoCacheLines => write!(f, "cache has zero lines"),
             ConfigError::CacheLinesNotPowerOfTwo { cache_lines } => {
                 write!(f, "cache_lines = {cache_lines} is not a power of two (direct-mapped index)")
@@ -138,7 +153,7 @@ pub struct MachineConfig {
     /// BusUpgr / BusUpd), charged to the issuing PE by the hardware-coherence
     /// backends. Every other active PE is assumed to contend for the same
     /// bus, so each transaction additionally waits the mean residual
-    /// occupancy of the other `P - 1` requesters (see `coherence::BusModel`).
+    /// occupancy of the other `P - 1` requesters (see the `coherence` module).
     pub bus_txn: u64,
     /// Outstanding bus transactions one PE may have in flight before it
     /// stalls waiting for the oldest to drain (the delayed-message queue of
@@ -202,6 +217,9 @@ impl MachineConfig {
         if self.n_pes == 0 {
             return Err(ConfigError::ZeroPes);
         }
+        if self.n_pes > MAX_PES {
+            return Err(ConfigError::TooManyPes { n_pes: self.n_pes, max: MAX_PES });
+        }
         if self.cache_lines == 0 {
             return Err(ConfigError::NoCacheLines);
         }
@@ -225,6 +243,16 @@ impl MachineConfig {
             if remote < local {
                 return Err(ConfigError::RemoteNotSlower { kind, remote, local });
             }
+        }
+        Ok(())
+    }
+
+    /// Check the PE count against the hardware schemes' limit
+    /// ([`MAX_HARDWARE_PES`]). The pipeline calls this before it builds a
+    /// MESI or Dragon run.
+    pub fn validate_hardware(&self) -> Result<(), ConfigError> {
+        if self.n_pes > MAX_HARDWARE_PES {
+            return Err(ConfigError::TooManyPes { n_pes: self.n_pes, max: MAX_HARDWARE_PES });
         }
         Ok(())
     }
@@ -254,7 +282,7 @@ pub enum Scheme {
     /// cached everywhere; misses issue BusRd/BusRdX, writes to shared lines
     /// issue BusUpgr invalidating remote copies. No prefetch plan — the
     /// same IR schedule runs with coherence resolved dynamically by the
-    /// [`crate::coherence::CoherenceBackend`].
+    /// snooping backend in [`crate::coherence`].
     Mesi,
     /// Dragon hardware coherence (update-based): writes to lines with
     /// remote sharers broadcast BusUpd, patching every copy in place
@@ -389,6 +417,17 @@ mod unit {
         let mut c = ok.clone();
         c.n_pes = 0;
         assert_eq!(c.validate(), Err(ConfigError::ZeroPes));
+        let mut c = ok.clone();
+        c.n_pes = MAX_PES + 1;
+        assert_eq!(c.validate(), Err(ConfigError::TooManyPes { n_pes: 257, max: 256 }));
+        c.n_pes = MAX_PES;
+        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(
+            c.validate_hardware(),
+            Err(ConfigError::TooManyPes { n_pes: 256, max: 64 })
+        );
+        c.n_pes = MAX_HARDWARE_PES;
+        assert_eq!(c.validate_hardware(), Ok(()));
         let mut c = ok.clone();
         c.cache_lines = 0;
         assert_eq!(c.validate(), Err(ConfigError::NoCacheLines));

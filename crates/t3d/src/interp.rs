@@ -12,7 +12,7 @@ use ccdp_ir::{
 use ccdp_prefetch::Handling;
 
 use crate::cache::Hit;
-use crate::coherence::{backend_for, CoherenceBackend};
+use crate::coherence::Bus;
 use crate::compiled::{
     compile_loop, AccessKind, CAssign, CompileCtx, CompiledBody, CRead, CStmt, SlotSpec,
     SlotState,
@@ -45,7 +45,7 @@ pub struct Simulator<'p> {
     program: &'p Program,
     layout: Layout,
     pub(crate) cfg: MachineConfig,
-    scheme: Scheme,
+    pub(crate) scheme: Scheme,
     opts: SimOptions,
     pub(crate) mem: Memory,
     pub(crate) pes: Vec<Pe>,
@@ -75,11 +75,9 @@ pub struct Simulator<'p> {
     /// Fault injectors (`None` when the plan injects nothing, which keeps
     /// fault-free runs byte-identical to a build without the subsystem).
     pub(crate) faults: Option<FaultEngine>,
-    /// The coherence backend executing this scheme's shared accesses. Moved
-    /// out (`Option::take`) for the duration of each dispatched access so
-    /// the backend can borrow the simulator mutably; always `Some` between
-    /// accesses.
-    backend: Option<Box<dyn CoherenceBackend>>,
+    /// The hardware schemes' snooping bus and presence vector (empty under
+    /// the software schemes; see the `coherence` module).
+    pub(crate) bus: Bus,
     /// Source epoch currently executing (targeted fault injection).
     cur_epoch_id: Option<u32>,
     /// Compiled loop bodies, keyed by loop id (the scheme — the other half
@@ -138,9 +136,9 @@ impl ShardLog {
 
 /// Everything a shard worker needs to assemble a block-local `Simulator`
 /// inside its own thread. `Simulator` itself is not `Send` (its compiled
-/// cache holds `Rc`s and the backend box is unconstrained), so the fork
-/// ships this plain-data seed across and the worker builds the simulator
-/// in place; [`BlockOut`] carries the results back the same way.
+/// cache holds `Rc`s), so the fork ships this plain-data seed across and
+/// the worker builds the simulator in place; [`BlockOut`] carries the
+/// results back the same way.
 struct BlockSeed<'p> {
     program: &'p Program,
     l: &'p Loop,
@@ -194,7 +192,6 @@ struct BlockOut {
 /// the merge reproduces the serial run byte for byte.
 fn run_block<'p>(seed: BlockSeed<'p>) -> BlockOut {
     let n_pes = seed.cfg.n_pes;
-    let backend = Some(backend_for(&seed.scheme, n_pes));
     // `EventTrace::new` allocates lazily, so an effectively unbounded
     // capacity costs nothing when few events arrive; the worker must never
     // wrap its ring, because the master replays events in block order and
@@ -223,7 +220,8 @@ fn run_block<'p>(seed: BlockSeed<'p>) -> BlockOut {
         extrap_slot: None,
         trace: EventTrace::new(trace_cap),
         faults: seed.faults,
-        backend,
+        // Hardware schemes never shard, so a worker never needs a bus.
+        bus: Bus::default(),
         cur_epoch_id: seed.cur_epoch_id,
         compiled: HashMap::new(),
         frames: Vec::new(),
@@ -320,7 +318,7 @@ impl<'p> Simulator<'p> {
         }
         let faults =
             (!opts.faults.is_none()).then(|| FaultEngine::new(opts.faults, cfg.n_pes));
-        let backend = Some(backend_for(&scheme, cfg.n_pes));
+        let bus = Bus::for_scheme(&scheme, cfg.n_pes, mem.shared_words(), cfg.line_words);
         let treewalk = opts.force_treewalk;
         let budgeted = opts.cycle_budget.is_some()
             || opts.step_budget.is_some()
@@ -348,7 +346,7 @@ impl<'p> Simulator<'p> {
             extrap_slot: None,
             trace: EventTrace::new(opts.trace_capacity),
             faults,
-            backend,
+            bus,
             cur_epoch_id: None,
             compiled: HashMap::new(),
             frames: Vec::new(),
@@ -541,37 +539,6 @@ impl<'p> Simulator<'p> {
 
     fn global_now(&self) -> u64 {
         self.pes.iter().map(|p| p.now).max().unwrap_or(0)
-    }
-
-    /// Does the current backend execute explicit prefetch statements and
-    /// pipelined prefetches? (Only the plan-directed CCDP backend does.)
-    fn prefetching(&self) -> bool {
-        self.backend.as_ref().is_some_and(|b| b.executes_prefetches())
-    }
-
-    pub(crate) fn handling_of(&self, r: RefId) -> Handling {
-        match &self.scheme {
-            Scheme::Ccdp { plan } | Scheme::InvalidateOnly { plan } => plan.handling_of(r),
-            _ => Handling::Normal,
-        }
-    }
-
-    // -- backend dispatch --------------------------------------------------
-
-    /// One shared read through the coherence backend. `craft` is the
-    /// array's CRAFT local-access overhead (BASE backend only).
-    pub(crate) fn backend_read(&mut self, pe: usize, rid: RefId, addr: usize, craft: u64) -> f64 {
-        let mut b = self.backend.take().expect("backend re-entered");
-        let v = b.read_shared(self, pe, rid, addr, craft);
-        self.backend = Some(b);
-        v
-    }
-
-    /// One shared write through the coherence backend.
-    pub(crate) fn backend_write(&mut self, pe: usize, addr: usize, craft_local: u64, v: f64) {
-        let mut b = self.backend.take().expect("backend re-entered");
-        b.write_shared(self, pe, addr, craft_local, v);
-        self.backend = Some(b);
     }
 
     // -- program structure ---------------------------------------------
@@ -1248,7 +1215,7 @@ impl<'p> Simulator<'p> {
             AccessKind::Base { craft } => self.base_read(pe, r.rid, addr, craft),
             AccessKind::Cached(h) => self.cached_read(pe, r.rid, addr, h),
             AccessKind::Bypass => self.bypass_read(pe, addr),
-            AccessKind::Hardware => self.backend_read(pe, r.rid, addr, 0),
+            AccessKind::Hardware => self.hw_read(pe, r.rid, addr),
         }
     }
 
@@ -1432,8 +1399,9 @@ impl<'p> Simulator<'p> {
     /// `Fresh` refresh) — from memory, or from the local staging buffer when
     /// a vector prefetch already moved the line over. The software schemes'
     /// `cached_read` and the MESI/Dragon backends (write-allocate on reads
-    /// and writes) share it; hardware schemes never prefetch, so for them
-    /// the staging and fallback branches never fire. Returns the line.
+    /// and writes, through `hw_fill`, which keeps the presence vector exact)
+    /// share it; hardware schemes never prefetch, so for them the staging
+    /// and fallback branches never fire. Returns the line.
     pub(crate) fn demand_fill(&mut self, pe: usize, addr: usize) -> usize {
         let phase = self.phase;
         let line_base = self.pes[pe].cache.line_base(addr);
@@ -1516,7 +1484,7 @@ impl<'p> Simulator<'p> {
 
     // -- hardware-backend primitives ---------------------------------------
     //
-    // The MESI/Dragon backends compose these with `demand_fill`: a plain
+    // The MESI/Dragon backends compose these with `hw_fill`: a plain
     // cache hit (no prefetch machinery — hardware schemes never prefetch)
     // and a write-through store without the software schemes' owner-cache
     // patching (the protocol keeps remote copies coherent itself).

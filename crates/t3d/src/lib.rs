@@ -20,9 +20,9 @@
 //!   handling; prefetch statements and pipelined prefetches are executed),
 //!   `InvalidateOnly` (the plan's handlings without its prefetches), and
 //!   the hardware-coherence rivals `Mesi` / `Dragon` (snooping
-//!   invalidate-/update-based protocols over a shared bus; see the
-//!   [`coherence`] module). All schemes sit behind the
-//!   [`CoherenceBackend`] trait.
+//!   invalidate-/update-based protocols over a shared bus, at most
+//!   [`MAX_HARDWARE_PES`] PEs; see the [`coherence`] module). One `match`
+//!   on the scheme dispatches every shared access.
 //! * **A coherence oracle**: memory keeps a version per word, cache lines
 //!   remember the versions they loaded, and every consumed cached read is
 //!   checked; reading a word older than memory is recorded as a *stale read
@@ -71,8 +71,9 @@ mod pe;
 mod result;
 
 pub use cache::Cache;
-pub use coherence::CoherenceBackend;
-pub use config::{ConfigError, MachineConfig, Scheme, SimAbort, SimOptions};
+pub use config::{
+    ConfigError, MachineConfig, Scheme, SimAbort, SimOptions, MAX_HARDWARE_PES, MAX_PES,
+};
 pub use faults::{FaultPlan, FaultStats};
 pub use interp::Simulator;
 #[cfg(feature = "shard-audit")]

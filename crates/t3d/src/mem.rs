@@ -3,6 +3,8 @@
 use ccdp_dist::Layout;
 use ccdp_ir::{ArrayId, Program, Sharing};
 
+use crate::config::MAX_PES;
+
 /// The machine's memory: one flat shared word space with per-word versions
 /// and owners, plus per-PE private spaces.
 ///
@@ -26,7 +28,7 @@ pub struct Memory {
 
 impl Memory {
     pub fn new(program: &Program, layout: &Layout) -> Memory {
-        assert!(layout.n_pes() <= u8::MAX as usize + 1);
+        assert!(layout.n_pes() <= MAX_PES, "owners are u8: at most {MAX_PES} PEs");
         let mut bases = Vec::with_capacity(program.arrays.len());
         let mut is_shared = Vec::with_capacity(program.arrays.len());
         let mut shared_len = 0usize;

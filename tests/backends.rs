@@ -131,16 +131,22 @@ fn hardware_backends_under_a_fault_plan_are_pinned() {
     use t3d_sim::FaultPlan;
     let spec = small_suite().into_iter().find(|s| s.name == "TOMCATV").unwrap();
     let plan = FaultPlan::none().with_seed(1997).with_delay(0.2, 3, 2).with_storms(0.05, 3);
-    let cfg = PipelineConfig::t3d(4).with_faults(plan);
-    // (cycles, bus_txns, bus_invalidations, bus_updates, fills_delayed,
-    // queue_storms)
+    // (n_pes, scheme, (cycles, bus_txns, bus_invalidations, bus_updates,
+    // fills_delayed, queue_storms)). The 64-PE rows run the snoop at the
+    // widest machine the hardware backends support.
     let want = [
-        (Scheme::Mesi, (270187, 4832, 1460, 0, 592, 223)),
-        (Scheme::Dragon, (188878, 5651, 0, 3635, 276, 258)),
+        (4, Scheme::Mesi, (270187, 4832, 1460, 0, 592, 223)),
+        (4, Scheme::Dragon, (188878, 5651, 0, 3635, 276, 258)),
+        (64, Scheme::Mesi, (429790, 10153, 5407, 0, 2085, 436)),
+        (64, Scheme::Dragon, (300096, 8117, 0, 13664, 618, 349)),
     ];
-    for (s, expect) in want {
-        let r = cfg.run(&spec.program, s).unwrap_or_else(|e| panic!("{}: {e}", s.name())).result;
-        assert!(r.oracle.is_coherent(), "{}: {:?}", s.name(), r.oracle.examples);
+    for (n, s, expect) in want {
+        let cfg = PipelineConfig::t3d(n).with_faults(plan);
+        let r = cfg
+            .run(&spec.program, s)
+            .unwrap_or_else(|e| panic!("P={n} {}: {e}", s.name()))
+            .result;
+        assert!(r.oracle.is_coherent(), "P={n} {}: {:?}", s.name(), r.oracle.examples);
         let t = r.total_stats();
         let f = r.fault_stats();
         let got = (
@@ -151,6 +157,6 @@ fn hardware_backends_under_a_fault_plan_are_pinned() {
             f.fills_delayed,
             f.queue_storms,
         );
-        assert_eq!(got, expect, "{}", s.name());
+        assert_eq!(got, expect, "P={n} {}", s.name());
     }
 }
