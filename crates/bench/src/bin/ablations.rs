@@ -11,6 +11,7 @@
 //! fault plans (`--seed N` / `CCDP_SEED` select the decision streams).
 
 use ccdp_bench::{paper_kernels, run_cell_with, seed_from, BenchKernel, Scale};
+use ccdp_core::flags::or_exit;
 use ccdp_core::{compare, compile_ccdp, PipelineConfig, Scheme, SchemeMatrix};
 use t3d_sim::FaultPlan;
 
@@ -229,14 +230,8 @@ fn main() {
         .find(|a| !a.starts_with("--") && !a.chars().all(|c| c.is_ascii_digit()))
         .cloned()
         .unwrap_or_else(|| "all".into());
-    let scale = Scale::from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let seed = seed_from(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let scale = or_exit(Scale::from_env());
+    let seed = or_exit(seed_from(&args));
     eprintln!("running ablations ({which}) at {scale:?} scale, P={PES} ...");
     let kernels = paper_kernels(scale);
     match which.as_str() {

@@ -4,16 +4,14 @@
 //! `cargo run -p ccdp-bench --release --bin inspect -- <kernel> <pes>`
 
 use ccdp_bench::{cell_config, paper_kernels, Scale};
+use ccdp_core::flags::or_exit;
 use ccdp_core::{compare, compile_ccdp, Scheme};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let kname = args.get(1).map(String::as_str).unwrap_or("TOMCATV");
     let pes: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
-    let scale = Scale::from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let scale = or_exit(Scale::from_env());
     let kernels = paper_kernels(scale);
     let k = kernels.iter().find(|k| k.name == kname).unwrap_or_else(|| {
         let names: Vec<_> = kernels.iter().map(|k| k.name).collect();

@@ -19,12 +19,11 @@
 //! verifier reports the defect, then corrupts the *program* with a
 //! cross-block write and requires the shard audit to flag it (CCDP006).
 
-use ccdp_bench::synth::{mutate_plan, mutate_program, random_program, SynthConfig};
 use ccdp_bench::report::merge_section;
-use ccdp_bench::{
-    cell_config, flag_value, has_flag, paper_kernels, seed_from, Scale, PAPER_PES,
-};
+use ccdp_bench::{cell_config, paper_kernels, seed_from, Scale, PAPER_PES};
 use ccdp_core::compile_ccdp;
+use ccdp_core::flags::{flag_or_exit, has_flag, or_exit};
+use ccdp_core::synth::{mutate_plan, mutate_program, random_program, SynthConfig};
 use ccdp_json::{Json, ToJson};
 use ccdp_lint::{verify, verify_sharding, LintCode, LintOptions, LintReport, ShardCounts};
 
@@ -42,29 +41,12 @@ fn main() {
     let scale = if has_flag(&args, "--quick") {
         Scale::Quick
     } else {
-        Scale::from_env().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        or_exit(Scale::from_env())
     };
-    let seed = seed_from(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let n_synth: usize = flag_value(&args, "--synth")
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("unparseable --synth value {v:?} (expected a count)");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(40);
+    let seed = or_exit(seed_from(&args));
+    let n_synth: usize = flag_or_exit(&args, "--synth").unwrap_or(40);
 
-    if let Some(mseed) = flag_value(&args, "--mutate") {
-        let mseed: u64 = mseed.parse().unwrap_or_else(|_| {
-            eprintln!("unparseable --mutate value (expected a seed)");
-            std::process::exit(2);
-        });
+    if let Some(mseed) = flag_or_exit(&args, "--mutate") {
         demo_mutation(scale, mseed);
         return;
     }

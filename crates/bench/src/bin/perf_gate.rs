@@ -20,6 +20,7 @@
 use std::time::Instant;
 
 use ccdp_bench::{paper_kernels, run_grid, Scale, GRID_SCHEMES, PAPER_PES};
+use ccdp_core::flags::or_exit;
 use ccdp_core::EnvOverrides;
 
 /// Quick-grid wall seconds of the baseline run.
@@ -30,10 +31,7 @@ const BASELINE_SIM_THREADS: usize = 1;
 const FACTOR: f64 = 1.25;
 
 fn main() {
-    let env = EnvOverrides::from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let env = or_exit(EnvOverrides::from_env());
     let gate_threads = env.sim_threads.unwrap_or(1);
     eprintln!("PERF GATE: gating at sim_threads={gate_threads}");
     // Refuse a cross-configuration comparison up front, before spending

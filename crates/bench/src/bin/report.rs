@@ -27,35 +27,20 @@ use std::time::Duration;
 use ccdp_bench::journal::{header_line, run_journaled_grid, GRID_JOURNAL};
 use ccdp_bench::report::{report_json_cells, REPORT_FILE};
 use ccdp_bench::resilience::GridOptions;
-use ccdp_bench::{flag_value, has_flag, paper_kernels, seed_from, Scale, GRID_SCHEMES, PAPER_PES};
-
-fn parse_u64_flag(args: &[String], name: &str) -> Option<u64> {
-    flag_value(args, name).map(|v| {
-        v.parse::<u64>().unwrap_or_else(|_| {
-            eprintln!("unparseable {name} value {v:?} (expected a u64)");
-            std::process::exit(2);
-        })
-    })
-}
+use ccdp_bench::{paper_kernels, seed_from, Scale, GRID_SCHEMES, PAPER_PES};
+use ccdp_core::flags::{flag_or_exit, has_flag, or_exit};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let seed = seed_from(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let scale = or_exit(Scale::from_env());
+    let seed = or_exit(seed_from(&args));
     let resume = has_flag(&args, "--resume");
-    let journal_path = PathBuf::from(
-        flag_value(&args, "--journal").unwrap_or_else(|| GRID_JOURNAL.to_string()),
-    );
+    let journal_path =
+        flag_or_exit(&args, "--journal").unwrap_or_else(|| PathBuf::from(GRID_JOURNAL));
     let opts = GridOptions {
-        cycle_budget: parse_u64_flag(&args, "--cycle-budget"),
-        step_budget: parse_u64_flag(&args, "--step-budget"),
-        cell_timeout: parse_u64_flag(&args, "--cell-timeout").map(Duration::from_secs),
+        cycle_budget: flag_or_exit(&args, "--cycle-budget"),
+        step_budget: flag_or_exit(&args, "--step-budget"),
+        cell_timeout: flag_or_exit(&args, "--cell-timeout").map(Duration::from_secs),
         faults: None,
     };
     eprintln!(

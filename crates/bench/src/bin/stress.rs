@@ -20,27 +20,19 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use ccdp_bench::journal::{header_line, Journal, STRESS_JOURNAL};
+use ccdp_bench::journal::{append_cell, header_line, resume_cells, STRESS_JOURNAL};
 use ccdp_bench::report::merge_section;
-use ccdp_bench::resilience::{classify_pipeline, isolate, CellFailure, GridOptions};
+use ccdp_bench::resilience::{GridOptions, GRID_RETRY};
 use ccdp_bench::stress::{
     stress_cell_json, stress_cell_opts, stress_pes, stress_plans, stress_section_json,
     StressError,
 };
-use ccdp_bench::{flag_value, has_flag, paper_kernels, pooled, seed_from, Scale};
-use ccdp_core::Scheme;
+use ccdp_bench::{paper_kernels, pooled, seed_from, Scale};
+use ccdp_core::flags::{flag_or_exit, has_flag, or_exit};
+use ccdp_core::{classify_pipeline, isolate, CellFailure, Journal, Scheme};
 use ccdp_json::Json;
-
-fn parse_u64_flag(args: &[String], name: &str) -> Option<u64> {
-    flag_value(args, name).map(|v| {
-        v.parse::<u64>().unwrap_or_else(|_| {
-            eprintln!("unparseable {name} value {v:?} (expected a u64)");
-            std::process::exit(2);
-        })
-    })
-}
 
 fn classify_stress(e: StressError) -> CellFailure {
     match e {
@@ -54,23 +46,16 @@ fn main() {
     let scale = if has_flag(&args, "--quick") {
         Scale::Quick
     } else {
-        Scale::from_env().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        or_exit(Scale::from_env())
     };
-    let seed = seed_from(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let seed = or_exit(seed_from(&args));
     let resume = has_flag(&args, "--resume");
-    let journal_path = PathBuf::from(
-        flag_value(&args, "--journal").unwrap_or_else(|| STRESS_JOURNAL.to_string()),
-    );
+    let journal_path =
+        flag_or_exit(&args, "--journal").unwrap_or_else(|| PathBuf::from(STRESS_JOURNAL));
     let opts = GridOptions {
-        cycle_budget: parse_u64_flag(&args, "--cycle-budget"),
-        step_budget: parse_u64_flag(&args, "--step-budget"),
-        cell_timeout: parse_u64_flag(&args, "--cell-timeout").map(Duration::from_secs),
+        cycle_budget: flag_or_exit(&args, "--cycle-budget"),
+        step_budget: flag_or_exit(&args, "--step-budget"),
+        cell_timeout: flag_or_exit(&args, "--cell-timeout").map(Duration::from_secs),
         faults: None,
     };
     let kernels = paper_kernels(scale);
@@ -84,7 +69,7 @@ fn main() {
     let stressed = [Scheme::Ccdp, Scheme::Mesi, Scheme::Dragon];
     let header = header_line("stress", scale, seed, &pes, &stressed, &opts);
     let (journal, entries) = if resume {
-        Journal::resume(&journal_path, &header)
+        resume_cells(&journal_path, &header)
     } else {
         Journal::create(&journal_path, &header).map(|j| (j, Vec::new()))
     }
@@ -117,13 +102,15 @@ fn main() {
     let fresh: Vec<Result<Vec<Json>, CellFailure>> = pooled(units.len(), threads, |i| {
         let (ki, pi) = units[i];
         let (k, n) = (&kernels[ki], pes[pi]);
-        let r = isolate(opts.cell_timeout, classify_stress, |deadline| {
+        let (r, _) = isolate(&GRID_RETRY, classify_stress, || {
+            let deadline = opts.cell_timeout.map(|t| Instant::now() + t);
             stress_cell_opts(k, n, &plans, &opts, deadline)
         });
         match r {
             Ok(cells) => {
                 let jsons: Vec<Json> = cells.iter().map(stress_cell_json).collect();
-                if let Err(e) = journal.append(k.name, n, &Json::arr(jsons.iter().cloned())) {
+                let data = Json::arr(jsons.iter().cloned());
+                if let Err(e) = append_cell(&journal, k.name, n, &data) {
                     eprintln!("warning: journal append failed ({e}); run not resumable");
                 }
                 Ok(jsons)

@@ -7,13 +7,11 @@
 //! ```
 
 use ccdp_bench::{paper_kernels, run_grid, Scale, GRID_SCHEMES, PAPER_PES};
+use ccdp_core::flags::or_exit;
 use ccdp_core::{format_speedup_table, MatrixRow};
 
 fn main() {
-    let scale = Scale::from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let scale = or_exit(Scale::from_env());
     eprintln!("running Table 1 grid at {scale:?} scale ...");
     let kernels = paper_kernels(scale);
     let grid = run_grid(&kernels, &PAPER_PES, &GRID_SCHEMES).unwrap_or_else(|e| {

@@ -6,13 +6,11 @@
 //! ```
 
 use ccdp_bench::{paper_kernels, run_grid, Scale, PAPER_PES};
+use ccdp_core::flags::or_exit;
 use ccdp_core::{format_improvement_table, MatrixRow, Scheme};
 
 fn main() {
-    let scale = Scale::from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let scale = or_exit(Scale::from_env());
     eprintln!("running Table 2 grid at {scale:?} scale ...");
     let kernels = paper_kernels(scale);
     // Table 2 only needs the BASE/CCDP pair; skip the hardware schemes.

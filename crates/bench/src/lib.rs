@@ -20,14 +20,18 @@ pub mod journal;
 pub mod report;
 pub mod resilience;
 pub mod stress;
-pub mod synth;
 
+/// Re-exported at its old path: perfbench imports `ccdp_bench::synth`.
+pub use ccdp_core::synth;
+
+use ccdp_core::flags::flag_value;
 use ccdp_core::{
-    compare, EnvOverrides, PipelineConfig, PipelineError, ScalePreset, Scheme, SchemeMatrix,
+    compare, CellFailure, EnvOverrides, PipelineConfig, PipelineError, ScalePreset, Scheme,
+    SchemeMatrix,
 };
 use ccdp_ir::Program;
 use ccdp_kernels::{mxm, swim, tomcatv, vpenta};
-use resilience::{run_grid_isolated, CellFailure, CellOutcome, GridOptions};
+use resilience::{run_grid_isolated, CellOutcome, GridOptions};
 use t3d_sim::{ConfigError, SimOptions};
 
 /// The PE counts of the paper's tables.
@@ -78,52 +82,17 @@ impl Scale {
 /// report so a run can be reproduced. Malformed values are structured
 /// [`PipelineError::InvalidConfig`] errors naming the source and value.
 pub fn seed_from(args: &[String]) -> Result<u64, PipelineError> {
-    let parse = |v: &str| {
-        v.parse::<u64>().map_err(|_| {
-            PipelineError::InvalidConfig(ConfigError::BadEnv {
-                var: "--seed",
-                value: v.to_string(),
-                need: "expected a u64",
-            })
+    let bad = |value: String| {
+        PipelineError::InvalidConfig(ConfigError::BadEnv {
+            var: "--seed",
+            value,
+            need: "expected a u64",
         })
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--seed" {
-            let v = it.next().ok_or_else(|| {
-                PipelineError::InvalidConfig(ConfigError::BadEnv {
-                    var: "--seed",
-                    value: "<missing>".to_string(),
-                    need: "expected a u64",
-                })
-            })?;
-            return parse(v);
-        }
-        if let Some(v) = a.strip_prefix("--seed=") {
-            return parse(v);
-        }
+    match flag_value(args, "--seed").map_err(|_| bad("<missing>".to_string()))? {
+        Some(v) => v.parse().map_err(|_| bad(v)),
+        None => Ok(EnvOverrides::from_env()?.seed.unwrap_or(0)),
     }
-    Ok(EnvOverrides::from_env()?.seed.unwrap_or(0))
-}
-
-/// Presence of a bare `--name` flag in `args`.
-pub fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-/// Value of a `--name V` / `--name=V` flag in `args`.
-pub fn flag_value(args: &[String], name: &str) -> Option<String> {
-    let prefix = format!("{name}=");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
-        }
-    }
-    None
 }
 
 /// One kernel ready for the sweep.

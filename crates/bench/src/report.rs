@@ -15,11 +15,12 @@
 use std::path::Path;
 
 use ccdp_core::{
-    format_improvement_cells, format_speedup_cells, Scheme, SchemeMatrix, TableCell, TableRow,
+    format_improvement_cells, format_speedup_cells, CellFailure, Scheme, SchemeMatrix, TableCell,
+    TableRow,
 };
 use ccdp_json::{Json, ToJson};
 
-use crate::resilience::{CellFailure, CellOutcome};
+use crate::resilience::CellOutcome;
 use crate::Scale;
 
 /// The report document's file name, in the working directory.
@@ -398,7 +399,7 @@ mod unit {
 
     #[test]
     fn failed_cells_carry_failure_and_placeholder_tables() {
-        use crate::resilience::{CellFailure, CellOutcome};
+        use crate::resilience::CellOutcome;
         let fail = CellOutcome::Fail(CellFailure::BudgetExceeded {
             pe: 1,
             cycles: 1000,

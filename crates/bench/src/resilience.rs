@@ -7,9 +7,11 @@
 //! (kernel × PE count) cell under [`std::panic::catch_unwind`] with a
 //! cooperative wall-clock watchdog and per-run cycle/step budgets
 //! ([`t3d_sim::SimOptions`]), classifies every failure into a
-//! [`CellFailure`], retries once (same seed, same config) when the failure
-//! could be a host flake rather than a deterministic property of the cell,
-//! and reports a full grid of [`CellOutcome`]s instead of aborting.
+//! [`CellFailure`], retries once ([`GRID_RETRY`]) when the failure could be
+//! a host flake rather than a deterministic property of the cell, and
+//! reports a full grid of [`CellOutcome`]s instead of aborting. The
+//! classification and the retry loop are `ccdp_core`'s, shared with the
+//! job service.
 //! [`crate::run_grid`] is a thin call of [`run_grid_isolated`] that turns
 //! the first failed cell into its error.
 //!
@@ -17,10 +19,12 @@
 //! ([`crate::journal`]) uses it to checkpoint finished cells so an
 //! interrupted run can resume without re-simulating them.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use ccdp_core::{compare_with_seq, run_seq, PipelineConfig, PipelineError, Scheme, SchemeMatrix};
+use ccdp_core::{
+    classify_pipeline, compare_with_seq, isolate, run_seq, CellFailure, PipelineConfig,
+    PipelineError, RetryPolicy, Scheme, SchemeMatrix,
+};
 use t3d_sim::{FaultPlan, SimResult};
 
 use crate::{cell_config, pooled, BenchKernel};
@@ -40,74 +44,6 @@ pub struct GridOptions {
     pub cell_timeout: Option<Duration>,
     /// Fault plan injected into every cell (`None` = fault-free).
     pub faults: Option<FaultPlan>,
-}
-
-/// Why a cell failed, as a deterministic, cloneable classification. The
-/// grid keeps going; the failure lands in the JSON report.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CellFailure {
-    /// The pipeline panicked. `retried` means the same seed/config was
-    /// attempted twice and panicked both times — a deterministic bug, not
-    /// a host flake.
-    Panicked { message: String, retried: bool },
-    /// The cooperative wall-clock watchdog fired.
-    TimedOut { pe: usize, steps: u64, retried: bool },
-    /// The cycle/step budget was exhausted — deterministic, never retried.
-    BudgetExceeded { pe: usize, cycles: u64, steps: u64 },
-    /// The program or machine configuration was rejected up front —
-    /// deterministic, never retried.
-    Invalid { message: String },
-    /// Any other pipeline failure (e.g. a coherence violation) —
-    /// deterministic, never retried.
-    Failed { message: String },
-}
-
-impl CellFailure {
-    /// Short machine-readable class name (the `outcome` field in reports).
-    pub fn class(&self) -> &'static str {
-        match self {
-            CellFailure::Panicked { .. } => "panicked",
-            CellFailure::TimedOut { .. } => "timed_out",
-            CellFailure::BudgetExceeded { .. } => "budget_exceeded",
-            CellFailure::Invalid { .. } => "invalid",
-            CellFailure::Failed { .. } => "failed",
-        }
-    }
-
-    /// Panics and timeouts may be host flakes; everything else is a
-    /// deterministic property of the cell and retrying would just repeat it.
-    fn retryable(&self) -> bool {
-        matches!(self, CellFailure::Panicked { .. } | CellFailure::TimedOut { .. })
-    }
-
-    fn mark_retried(&mut self) {
-        match self {
-            CellFailure::Panicked { retried, .. } | CellFailure::TimedOut { retried, .. } => {
-                *retried = true
-            }
-            _ => {}
-        }
-    }
-}
-
-impl std::fmt::Display for CellFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CellFailure::Panicked { message, retried } => {
-                write!(f, "panicked{}: {message}", if *retried { " (twice)" } else { "" })
-            }
-            CellFailure::TimedOut { pe, steps, retried } => write!(
-                f,
-                "timed out{} on PE {pe} after {steps} steps",
-                if *retried { " (twice)" } else { "" }
-            ),
-            CellFailure::BudgetExceeded { pe, cycles, steps } => {
-                write!(f, "budget exceeded on PE {pe}: {cycles} cycles after {steps} steps")
-            }
-            CellFailure::Invalid { message } => write!(f, "invalid input: {message}"),
-            CellFailure::Failed { message } => write!(f, "failed: {message}"),
-        }
-    }
 }
 
 /// Outcome of one isolated (kernel × PE count) cell.
@@ -147,72 +83,17 @@ fn apply_budgets(cfg: &mut PipelineConfig, opts: &GridOptions, deadline: Option<
     }
 }
 
-/// Classify a pipeline error into its cell-failure class.
-pub fn classify_pipeline(e: PipelineError) -> CellFailure {
-    match e {
-        PipelineError::BudgetExceeded { pe, cycles, steps } => {
-            CellFailure::BudgetExceeded { pe, cycles, steps }
-        }
-        PipelineError::Timeout { pe, steps } => {
-            CellFailure::TimedOut { pe, steps, retried: false }
-        }
-        PipelineError::InvalidConfig(_) | PipelineError::InvalidProgram(_) => {
-            CellFailure::Invalid { message: e.to_string() }
-        }
-        other => CellFailure::Failed { message: other.to_string() },
-    }
-}
+/// The grid's retry discipline: a panic or timeout is attempted once more
+/// (same seed, same config) and never backs off.
+pub const GRID_RETRY: RetryPolicy = RetryPolicy { max_attempts: 2, base_backoff: Duration::ZERO };
 
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Run `job` with panic containment and retry-once, classifying its error
-/// type through `to_failure`. The job receives the wall deadline to thread
-/// into `SimOptions`; a fresh deadline is computed per attempt so a retry
-/// gets the full timeout again. Used directly by the stress sweep (whose
-/// error type is not [`PipelineError`]).
-pub fn isolate<T, E>(
-    timeout: Option<Duration>,
-    to_failure: impl Fn(E) -> CellFailure,
-    job: impl Fn(Option<Instant>) -> Result<T, E>,
-) -> Result<T, CellFailure> {
-    let attempt = || -> Result<T, CellFailure> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        match catch_unwind(AssertUnwindSafe(|| job(deadline))) {
-            Ok(Ok(v)) => Ok(v),
-            Ok(Err(e)) => Err(to_failure(e)),
-            Err(p) => Err(CellFailure::Panicked { message: panic_message(p), retried: false }),
-        }
-    };
-    match attempt() {
-        Ok(v) => Ok(v),
-        Err(first) if first.retryable() => match attempt() {
-            Ok(v) => {
-                eprintln!("note: cell recovered on retry after transient failure ({first})");
-                Ok(v)
-            }
-            Err(mut second) => {
-                second.mark_retried();
-                Err(second)
-            }
-        },
-        Err(first) => Err(first),
-    }
-}
-
-/// [`isolate`] specialized to pipeline jobs (the grid path).
+/// [`isolate`] under [`GRID_RETRY`] for pipeline jobs, with a fresh wall
+/// deadline from `timeout` per attempt.
 fn guarded<T>(
     timeout: Option<Duration>,
     job: impl Fn(Option<Instant>) -> Result<T, PipelineError>,
 ) -> Result<T, CellFailure> {
-    isolate(timeout, classify_pipeline, job)
+    isolate(&GRID_RETRY, classify_pipeline, || job(timeout.map(|t| Instant::now() + t))).0
 }
 
 /// Run the requested cells of the grid with full isolation: every

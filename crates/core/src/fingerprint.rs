@@ -14,7 +14,7 @@
 //!   64-bit FNV-1a streams with distinct offset bases give 128 bits,
 //! * **dependency-free** — no external hash crates in this workspace.
 //!
-//! This is the same trick `bench::journal` plays with its exact-match
+//! This is the same trick [`crate::Journal`] plays with its exact-match
 //! header line, generalized from "string equality on one line" to a fixed
 //! 32-hex-digit key that can index a cache.
 

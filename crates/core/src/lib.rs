@@ -43,16 +43,26 @@
 //! Environment overrides (`CCDP_SIM_THREADS`, `CCDP_SEED`, `CCDP_SCALE`,
 //! `CCDP_BENCH_QUICK`, `CCDP_SERVE_WORKERS`, `CCDP_COMPACT_BYTES`) are
 //! parsed in exactly one place:
-//! [`EnvOverrides::from_env`].
+//! [`EnvOverrides::from_env`]; command-line flags likewise, in [`flags`].
+//!
+//! The pieces shared by the benchmark harness and the job service live here
+//! too: failure classification with panic-contained retries
+//! ([`isolate`]), the crash-safe line [`Journal`], and the random program
+//! generator [`synth`].
 
 mod env;
 mod fingerprint;
+pub mod flags;
+mod journal;
 mod jsonio;
 mod pipeline;
 mod report;
+mod resilience;
+pub mod synth;
 
 pub use env::{EnvOverrides, ScalePreset};
 pub use fingerprint::{Fingerprint, Fingerprinter};
+pub use journal::Journal;
 pub use pipeline::{
     compare, compare_with_seq, compile_ccdp, run_seq, CcdpArtifacts, PipelineConfig,
     PipelineError, Scheme, SchemeMatrix, SchemeRun,
@@ -61,3 +71,4 @@ pub use report::{
     format_improvement_cells, format_improvement_table, format_speedup_cells,
     format_speedup_table, MatrixRow, TableCell, TableRow,
 };
+pub use resilience::{classify_pipeline, isolate, panic_message, CellFailure, RetryPolicy};

@@ -6,15 +6,18 @@
 //! the deadline only determines whether the job *finishes*, so it stays
 //! out of the key). The runner executes under the simulator's own budgets
 //! plus a per-job wall deadline, with panic containment and
-//! exponential-backoff retries for the flaky failure classes of the
-//! `bench::resilience` taxonomy — deterministic failures are never
-//! retried, they are answered (and cached) as structured errors.
+//! exponential-backoff retries for the flaky failure classes of
+//! `ccdp_core`'s [`CellFailure`] taxonomy, the one the benchmark grid uses
+//! — deterministic failures are never retried, they are answered (and
+//! cached) as structured errors.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use ccdp_bench::resilience::{classify_pipeline, CellFailure};
-use ccdp_core::{compare, Fingerprint, Fingerprinter, PipelineConfig, Scheme};
+pub use ccdp_core::RetryPolicy;
+use ccdp_core::{
+    classify_pipeline, compare, isolate, CellFailure, Fingerprint, Fingerprinter, PipelineConfig,
+    Scheme,
+};
 use ccdp_ir::parse_program;
 use ccdp_json::{Json, ToJson};
 use t3d_sim::SimOptions;
@@ -26,22 +29,6 @@ pub const MAX_N_PES: usize = 64;
 /// pinning a worker.
 pub const CYCLE_BUDGET: u64 = 2_000_000_000;
 pub const STEP_BUDGET: u64 = 200_000_000;
-
-/// Retry policy for flaky failures (panicked / timed out). Deterministic
-/// failures never re-enter this loop.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included).
-    pub max_attempts: u32,
-    /// Backoff before retry k is `base_backoff * 2^(k-1)`.
-    pub base_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy { max_attempts: 3, base_backoff: Duration::from_millis(25) }
-    }
-}
 
 /// One validated job.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,8 +164,7 @@ pub fn run_job(spec: &JobSpec, retry: &RetryPolicy) -> JobResult {
         }
     };
 
-    let mut retries = 0u32;
-    let failure = loop {
+    let (verdict, retries) = isolate(retry, classify_pipeline, || {
         let deadline = Instant::now() + Duration::from_millis(spec.deadline_ms);
         let cfg = PipelineConfig::t3d(spec.n_pes).with_verify(true).with_sim(SimOptions {
             cycle_budget: Some(CYCLE_BUDGET),
@@ -186,45 +172,27 @@ pub fn run_job(spec: &JobSpec, retry: &RetryPolicy) -> JobResult {
             wall_deadline: Some(deadline),
             ..SimOptions::default()
         });
-        let attempt = catch_unwind(AssertUnwindSafe(|| compare(&program, &cfg, &spec.schemes)));
-        let failure = match attempt {
-            Ok(Ok(matrix)) => {
-                return JobResult {
-                    body: ok_body(&fp, spec, &matrix),
-                    status: (200, "OK"),
-                    cacheable: true,
-                    retries,
-                };
-            }
-            Ok(Err(e)) => classify_pipeline(e),
-            Err(panic) => CellFailure::Panicked {
-                message: panic_message(panic),
-                retried: retries > 0,
-            },
-        };
-        // Same flaky/deterministic split as the benchmark grid: only
-        // panics and wall timeouts can be transient.
-        let flaky =
-            matches!(failure, CellFailure::Panicked { .. } | CellFailure::TimedOut { .. });
-        if !flaky || retries + 1 >= retry.max_attempts {
-            break failure;
+        compare(&program, &cfg, &spec.schemes)
+    });
+    let failure = match verdict {
+        Ok(matrix) => {
+            return JobResult {
+                body: ok_body(&fp, spec, &matrix),
+                status: (200, "OK"),
+                cacheable: true,
+                retries,
+            };
         }
-        std::thread::sleep(retry.base_backoff * 2u32.pow(retries));
-        retries += 1;
+        Err(f) => f,
     };
-
-    let code = match &failure {
-        CellFailure::Panicked { .. } => "panicked",
+    let code = match failure {
         CellFailure::TimedOut { .. } => "timeout",
-        CellFailure::BudgetExceeded { .. } => "budget_exceeded",
-        CellFailure::Invalid { .. } => "invalid",
-        CellFailure::Failed { .. } => "failed",
+        _ => failure.class(),
     };
-    let flaky = matches!(failure, CellFailure::Panicked { .. } | CellFailure::TimedOut { .. });
     JobResult {
         body: error_body(code, &failure.to_string(), vec![("fingerprint", fp.to_json())]),
         status: failure_status(code),
-        cacheable: !flaky,
+        cacheable: !failure.retryable(),
         retries,
     }
 }
@@ -258,16 +226,6 @@ fn ok_body(fp: &str, spec: &JobSpec, m: &ccdp_core::SchemeMatrix) -> Json {
         fields.push(("improvement_pct".to_string(), p.to_json()));
     }
     Json::Obj(fields)
-}
-
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// A small parameterized kernel in the textual IR, shared by the load
@@ -349,6 +307,9 @@ mod unit {
         let policy = RetryPolicy { max_attempts: 2, base_backoff: Duration::from_millis(1) };
         let r = run_job(&s, &policy);
         assert_eq!(r.body.get("code").and_then(Json::as_str), Some("timeout"));
+        // The message carries the retry marker the benchmark grid uses.
+        let message = r.body.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.starts_with("timed out (twice) on PE "), "{message}");
         assert_eq!(r.status.0, 504);
         assert!(!r.cacheable);
         assert_eq!(r.retries, 1);

@@ -33,38 +33,16 @@
 //! `ccdpd listening on <addr>` line once the listener is up (parseable
 //! when binding port 0).
 
+use ccdp_core::flags::{flag_or_exit, has_flag, or_exit};
 use ccdp_core::EnvOverrides;
 use ccdp_serve::server::{install_signal_handlers, serve};
 use ccdp_serve::ServerConfig;
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    match flag_value(args, name) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("unparseable {name} value {v:?}");
-            std::process::exit(2);
-        }),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
-    if args.iter().any(|a| a == "--worker") {
-        let slot = parsed(&args, "--worker-slot", 0usize);
+    if has_flag(&args, "--worker") {
+        let slot = flag_or_exit(&args, "--worker-slot").unwrap_or(0usize);
         if let Err(e) = ccdp_serve::worker::run_worker(slot) {
             eprintln!("ccdpd worker {slot}: fatal: {e}");
             std::process::exit(1);
@@ -72,29 +50,28 @@ fn main() {
         return;
     }
 
-    let env = EnvOverrides::from_env().unwrap_or_else(|e| {
-        eprintln!("ccdpd: {e}");
-        std::process::exit(2);
-    });
+    let env = or_exit(EnvOverrides::from_env().map_err(|e| format!("ccdpd: {e}")));
     let defaults = ServerConfig::default();
     let cfg = ServerConfig {
-        addr: flag_value(&args, "--addr").unwrap_or(defaults.addr),
-        workers: parsed(&args, "--workers", env.serve_workers.unwrap_or(defaults.workers))
+        addr: flag_or_exit(&args, "--addr").unwrap_or(defaults.addr),
+        workers: flag_or_exit(&args, "--workers")
+            .unwrap_or(env.serve_workers.unwrap_or(defaults.workers))
             .max(1),
-        threads: parsed(&args, "--threads", defaults.threads).max(1),
-        queue_cap: parsed(&args, "--queue-cap", defaults.queue_cap).max(1),
-        max_body: parsed(&args, "--max-body", defaults.max_body).max(1024),
-        default_deadline_ms: parsed(&args, "--deadline-ms", defaults.default_deadline_ms).max(1),
-        read_deadline_ms: parsed(&args, "--read-deadline-ms", defaults.read_deadline_ms).max(50),
-        cache_cap: parsed(&args, "--cache-cap", defaults.cache_cap).max(1),
+        threads: flag_or_exit(&args, "--threads").unwrap_or(defaults.threads).max(1),
+        queue_cap: flag_or_exit(&args, "--queue-cap").unwrap_or(defaults.queue_cap).max(1),
+        max_body: flag_or_exit(&args, "--max-body").unwrap_or(defaults.max_body).max(1024),
+        default_deadline_ms: flag_or_exit(&args, "--deadline-ms")
+            .unwrap_or(defaults.default_deadline_ms)
+            .max(1),
+        read_deadline_ms: flag_or_exit(&args, "--read-deadline-ms")
+            .unwrap_or(defaults.read_deadline_ms)
+            .max(50),
+        cache_cap: flag_or_exit(&args, "--cache-cap").unwrap_or(defaults.cache_cap).max(1),
         retry: defaults.retry,
-        journal_dir: flag_value(&args, "--journal-dir").map(std::path::PathBuf::from),
-        resume: args.iter().any(|a| a == "--resume"),
-        compact_bytes: parsed(
-            &args,
-            "--compact-bytes",
-            env.compact_bytes.unwrap_or(defaults.compact_bytes),
-        ),
+        journal_dir: flag_or_exit(&args, "--journal-dir"),
+        resume: has_flag(&args, "--resume"),
+        compact_bytes: flag_or_exit(&args, "--compact-bytes")
+            .unwrap_or(env.compact_bytes.unwrap_or(defaults.compact_bytes)),
         restart: defaults.restart,
     };
     install_signal_handlers();

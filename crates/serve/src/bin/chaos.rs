@@ -7,7 +7,7 @@
 //!
 //! The harness owns the daemon: it runs an unkilled **baseline** pass to
 //! record the canonical response bytes for a seeded job set (synthetic
-//! `bench::synth` programs plus the loadgen sample kernels), then a
+//! `ccdp_core::synth` programs plus the loadgen sample kernels), then a
 //! **chaos** pass over the same jobs while `kill -9`-ing random workers
 //! mid-job at a configured cadence — and, unless disabled, SIGKILL-ing
 //! the supervisor itself mid-soak and relaunching it with `--resume`.
@@ -33,190 +33,51 @@
 //! `--no-supervisor-kill`, `--journal-dir DIR`, `--ccdpd PATH`.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ccdp_bench::flag_value;
-use ccdp_bench::synth::{random_program, SynthConfig};
+use ccdp_core::flags::{flag_or_exit, has_flag, or_exit};
+use ccdp_core::synth::{random_program, SynthConfig};
 use ccdp_ir::print_program;
 use ccdp_json::{Json, ToJson};
 use ccdp_serve::api::sample_program;
-
-// ---------------------------------------------------------------- client
-
-fn http_exchange(addr: &str, request: &[u8]) -> Result<Vec<u8>, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    stream.set_read_timeout(Some(Duration::from_secs(60))).ok();
-    stream.set_nodelay(true).ok();
-    stream.write_all(request).map_err(|e| format!("write: {e}"))?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).map_err(|e| format!("read: {e}"))?;
-    if raw.is_empty() {
-        return Err("empty response".to_string());
-    }
-    Ok(raw)
-}
-
-fn post_job(addr: &str, body: &str) -> Result<Vec<u8>, String> {
-    let req = format!(
-        "POST /jobs HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    http_exchange(addr, req.as_bytes())
-}
-
-fn get(addr: &str, path: &str) -> Result<Vec<u8>, String> {
-    http_exchange(addr, format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes())
-}
-
-fn status_of(raw: &[u8]) -> u16 {
-    std::str::from_utf8(raw)
-        .ok()
-        .and_then(|t| t.lines().next())
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Declared-length check: any bytes past `Content-Length` are a
-/// duplicated/corrupted response.
-fn excess_bytes(raw: &[u8]) -> Option<usize> {
-    let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
-    let head = std::str::from_utf8(&raw[..head_end]).ok()?;
-    let content_length: usize = head
-        .split("\r\n")
-        .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse().ok())?;
-    Some(raw.len().saturating_sub(head_end + 4 + content_length))
-}
-
-fn body_of(raw: &[u8]) -> &[u8] {
-    raw.windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map_or(&[][..], |p| &raw[p + 4..])
-}
+use ccdp_serve::client::{get, parse_response, post_job, stats, Daemon};
 
 // ------------------------------------------------------------ the daemon
 
-/// What the chaos harness knows about the running daemon, fed by the
-/// stdout-parsing thread: the bound address and the live worker pids.
-#[derive(Default)]
-struct DaemonView {
-    addr: Option<String>,
-    worker_pids: HashMap<usize, u32>,
+/// The status code of a raw response; 0 when it does not parse.
+fn status_of(raw: &[u8]) -> u16 {
+    parse_response(raw).map_or(0, |r| r.status)
 }
 
-struct Daemon {
-    child: Child,
-    view: Arc<Mutex<DaemonView>>,
+/// Spawn ccdpd on an ephemeral port; exit 2 if it does not come up.
+fn spawn_daemon(ccdpd: &Path, workers: usize, journal_dir: Option<&str>, resume: bool) -> Daemon {
+    let workers = workers.to_string();
+    let mut args = vec!["--addr", "127.0.0.1:0", "--workers", &workers, "--queue-cap", "64"];
+    if let Some(dir) = journal_dir {
+        args.extend(["--journal-dir", dir, "--compact-bytes", "65536"]);
+        if resume {
+            args.push("--resume");
+        }
+    }
+    or_exit(Daemon::spawn(ccdpd, &args, Stdio::null()).map_err(|e| format!("chaos: {e}")))
 }
 
-impl Daemon {
-    fn spawn(ccdpd: &std::path::Path, workers: usize, journal_dir: Option<&str>, resume: bool) -> Daemon {
-        let mut cmd = Command::new(ccdpd);
-        cmd.arg("--addr")
-            .arg("127.0.0.1:0")
-            .arg("--workers")
-            .arg(workers.to_string())
-            .arg("--queue-cap")
-            .arg("64")
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        if let Some(dir) = journal_dir {
-            cmd.arg("--journal-dir").arg(dir).arg("--compact-bytes").arg("65536");
-            if resume {
-                cmd.arg("--resume");
-            }
-        }
-        let mut child = cmd.spawn().unwrap_or_else(|e| {
-            eprintln!("chaos: cannot spawn ccdpd: {e}");
-            std::process::exit(2);
-        });
-        let stdout = child.stdout.take().expect("piped stdout");
-        let view = Arc::new(Mutex::new(DaemonView::default()));
-        let thread_view = Arc::clone(&view);
-        std::thread::spawn(move || {
-            for line in BufReader::new(stdout).lines() {
-                let Ok(line) = line else { break };
-                let mut v = thread_view.lock().unwrap();
-                if let Some(rest) = line.strip_prefix("ccdpd listening on ") {
-                    v.addr = Some(rest.trim().to_string());
-                } else if let Some(rest) = line.strip_prefix("ccdpd worker ") {
-                    let mut it = rest.split_whitespace();
-                    if let (Some(slot), Some("pid"), Some(pid)) = (it.next(), it.next(), it.next())
-                    {
-                        if let (Ok(slot), Ok(pid)) = (slot.parse(), pid.parse()) {
-                            v.worker_pids.insert(slot, pid);
-                        }
-                    }
-                }
-            }
-        });
-        Daemon { child, view }
+/// Block until the daemon answers `/readyz` 200; panics on timeout.
+fn await_ready(daemon: &Daemon, what: &str) -> String {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while get(&daemon.addr, "/readyz").map_or(true, |raw| status_of(&raw) != 200) {
+        assert!(Instant::now() < deadline, "chaos: {what} never became ready");
+        std::thread::sleep(Duration::from_millis(30));
     }
-
-    fn addr(&self) -> Option<String> {
-        self.view.lock().unwrap().addr.clone()
-    }
-
-    /// Block until the daemon answers `/readyz` 200; panics on timeout.
-    fn await_ready(&self, what: &str) -> String {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            if let Some(addr) = self.addr() {
-                if let Ok(raw) = get(&addr, "/readyz") {
-                    if status_of(&raw) == 200 {
-                        return addr;
-                    }
-                }
-            }
-            assert!(Instant::now() < deadline, "chaos: {what} never became ready");
-            std::thread::sleep(Duration::from_millis(30));
-        }
-    }
-
-    fn worker_pids(&self) -> Vec<(usize, u32)> {
-        let v = self.view.lock().unwrap();
-        v.worker_pids.iter().map(|(&s, &p)| (s, p)).collect()
-    }
-
-    fn signal(&self, sig: &str) {
-        let _ = Command::new("kill").arg(sig).arg(self.child.id().to_string()).status();
-    }
-
-    fn wait_exit(mut self) -> Option<i32> {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        loop {
-            match self.child.try_wait() {
-                Ok(Some(st)) => return st.code(),
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(30))
-                }
-                _ => {
-                    let _ = self.child.kill();
-                    let _ = self.child.wait();
-                    return None;
-                }
-            }
-        }
-    }
+    daemon.addr.clone()
 }
 
 fn stat(doc: &Json, key: &str) -> u64 {
     doc.get(key).and_then(Json::as_u64).unwrap_or(0)
-}
-
-fn stats_snapshot(addr: &str) -> Json {
-    get(addr, "/stats")
-        .ok()
-        .and_then(|raw| std::str::from_utf8(body_of(&raw)).ok().map(str::to_string))
-        .and_then(|b| ccdp_json::parse(&b).ok())
-        .unwrap_or(Json::Null)
 }
 
 // ---------------------------------------------------------------- chaos
@@ -327,19 +188,16 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let kill_supervisor = !args.iter().any(|a| a == "--no-supervisor-kill");
-    let seed: u64 = flag_value(&args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(1997);
-    let workers: usize =
-        flag_value(&args, "--workers").and_then(|v| v.parse().ok()).unwrap_or(2).max(1);
+    let quick = has_flag(&args, "--quick");
+    let kill_supervisor = !has_flag(&args, "--no-supervisor-kill");
+    let seed: u64 = flag_or_exit(&args, "--seed").unwrap_or(1997);
+    let workers: usize = flag_or_exit(&args, "--workers").unwrap_or(2).max(1);
     let kill_every = Duration::from_millis(
-        flag_value(&args, "--kill-every-ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if quick { 250 } else { 400 }),
+        flag_or_exit(&args, "--kill-every-ms").unwrap_or(if quick { 250 } else { 400 }),
     );
-    let journal_dir = flag_value(&args, "--journal-dir")
+    let journal_dir = flag_or_exit(&args, "--journal-dir")
         .unwrap_or_else(|| "results/chaos-journal".to_string());
-    let ccdpd = flag_value(&args, "--ccdpd").map(std::path::PathBuf::from).unwrap_or_else(|| {
+    let ccdpd = flag_or_exit(&args, "--ccdpd").unwrap_or_else(|| {
         let mut p = std::env::current_exe().expect("current_exe");
         p.set_file_name("ccdpd");
         p
@@ -358,8 +216,8 @@ fn main() {
 
     // ---- Pass 1: unkilled baseline — the canonical bytes. -------------
     eprintln!("chaos: baseline pass ({} distinct jobs)…", jobs.len());
-    let daemon = Daemon::spawn(&ccdpd, workers, None, false);
-    let addr = daemon.await_ready("baseline daemon");
+    let mut daemon = spawn_daemon(&ccdpd, workers, None, false);
+    let addr = await_ready(&daemon, "baseline daemon");
     let mut baseline: Vec<Vec<u8>> = Vec::with_capacity(jobs.len());
     for (i, body) in jobs.iter().enumerate() {
         match post_job(&addr, body) {
@@ -378,7 +236,11 @@ fn main() {
         }
     }
     daemon.signal("-TERM");
-    assert_eq!(daemon.wait_exit(), Some(0), "baseline daemon must drain and exit 0");
+    assert_eq!(
+        daemon.wait_exit(Duration::from_secs(20)),
+        Some(0),
+        "baseline daemon must drain and exit 0"
+    );
 
     // ---- Pass 2: the kill storm. ---------------------------------------
     eprintln!(
@@ -386,8 +248,8 @@ fn main() {
          {} ms, supervisor kill: {kill_supervisor}",
         kill_every.as_millis()
     );
-    let daemon = Daemon::spawn(&ccdpd, workers, Some(&journal_dir), false);
-    let addr = daemon.await_ready("chaos daemon");
+    let daemon = spawn_daemon(&ccdpd, workers, Some(&journal_dir), false);
+    let addr = await_ready(&daemon, "chaos daemon");
     let shared = Arc::new(SharedAddr { addr: Mutex::new(addr) });
     let daemon = Arc::new(Mutex::new(Some(daemon)));
 
@@ -471,7 +333,7 @@ fn main() {
                 let Some(&job_idx) = order.get(i) else { break };
                 match submit_until_final(&shared, &jobs[job_idx], &retries) {
                     Ok(raw) => {
-                        if excess_bytes(&raw).unwrap_or(1) > 0 {
+                        if parse_response(&raw).map_or(true, |r| r.excess > 0) {
                             duplicated.fetch_add(1, Ordering::Relaxed);
                             failures
                                 .lock()
@@ -499,23 +361,23 @@ fn main() {
                 std::thread::sleep(Duration::from_millis(50));
             }
             let old = daemon.lock().unwrap().take();
-            if let Some(old) = old {
+            if let Some(mut old) = old {
                 // Fold this incarnation's counters in before killing it.
                 let addr = shared.addr.lock().unwrap().clone();
-                let snap = stats_snapshot(&addr);
+                let snap = stats(&addr);
                 {
                     let mut acc = accumulated.lock().unwrap();
                     for k in ["restarts", "redispatches", "orphan_replays", "breaker_trips"] {
                         *acc.entry(k.to_string()).or_insert(0) += stat(&snap, k);
                     }
                 }
-                eprintln!("chaos: SIGKILL supervisor (pid {})", old.child.id());
+                eprintln!("chaos: SIGKILL supervisor (pid {})", old.pid());
                 old.signal("-KILL");
-                let _ = old.wait_exit();
+                let _ = old.wait_exit(Duration::from_secs(20));
                 supervisor_kills.fetch_add(1, Ordering::Relaxed);
                 let t0 = Instant::now();
-                let fresh = Daemon::spawn(&ccdpd, workers, Some(&journal_dir), true);
-                let new_addr = fresh.await_ready("resumed daemon");
+                let fresh = spawn_daemon(&ccdpd, workers, Some(&journal_dir), true);
+                let new_addr = await_ready(&fresh, "resumed daemon");
                 recovery_ms.lock().unwrap().push(t0.elapsed().as_secs_f64() * 1e3);
                 *shared.addr.lock().unwrap() = new_addr;
                 *daemon.lock().unwrap() = Some(fresh);
@@ -529,7 +391,7 @@ fn main() {
 
     // Final incarnation counters + graceful drain.
     let addr = shared.addr.lock().unwrap().clone();
-    let snap = stats_snapshot(&addr);
+    let snap = stats(&addr);
     {
         let mut acc = accumulated.lock().unwrap();
         for k in ["restarts", "redispatches", "orphan_replays", "breaker_trips"] {
@@ -538,9 +400,9 @@ fn main() {
     }
     let final_daemon = daemon.lock().unwrap().take();
     let drain_ok = match final_daemon {
-        Some(d) => {
+        Some(mut d) => {
             d.signal("-TERM");
-            d.wait_exit() == Some(0)
+            d.wait_exit(Duration::from_secs(20)) == Some(0)
         }
         None => false,
     };

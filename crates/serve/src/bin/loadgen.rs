@@ -23,82 +23,19 @@
 //! are not part of the deterministic `BENCH_ccdp.json` record (perfbench's
 //! serve workloads measure service time).
 //!
-//! Flags: `--addr A`, `--quick`, `--profile NAME` (repeatable filter),
-//! `--burst N` (overload concurrency).
+//! Flags: `--addr A`, `--quick`, `--profile NAME` (repeatable filter; an
+//! unknown name exits 2), `--burst N` (overload concurrency).
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use ccdp_bench::flag_value;
+use ccdp_core::flags::{flag_or_exit, flag_values, has_flag, or_exit};
 use ccdp_json::{Json, ToJson};
 use ccdp_serve::api::sample_program;
+use ccdp_serve::client::{get, parse_response, post_job, stats, Response};
 
-// ---------------------------------------------------------------- client
-
-struct Response {
-    status: u16,
-    body: String,
-    raw: Vec<u8>,
-    /// Bytes received beyond the declared response — a duplicated or
-    /// corrupted reply.
-    excess: usize,
-}
-
-fn http_exchange(addr: &str, request: &[u8]) -> Result<Response, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    stream.set_read_timeout(Some(Duration::from_secs(60))).ok();
-    stream.set_nodelay(true).ok();
-    stream.write_all(request).map_err(|e| format!("write: {e}"))?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).map_err(|e| format!("read: {e}"))?;
-    parse_response(raw)
-}
-
-fn post_job(addr: &str, body: &str) -> Result<Response, String> {
-    let req = format!(
-        "POST /jobs HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    http_exchange(addr, req.as_bytes())
-}
-
-fn get(addr: &str, path: &str) -> Result<Response, String> {
-    http_exchange(addr, format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes())
-}
-
-fn parse_response(raw: Vec<u8>) -> Result<Response, String> {
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or("no header terminator in response")?;
-    let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| "non-utf8 head")?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    let content_length: usize = lines
-        .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse().ok())
-        .ok_or("response has no Content-Length")?;
-    let body_start = head_end + 4;
-    if raw.len() < body_start + content_length {
-        return Err(format!(
-            "truncated body: got {} of {content_length} bytes",
-            raw.len() - body_start
-        ));
-    }
-    let excess = raw.len() - body_start - content_length;
-    let body = std::str::from_utf8(&raw[body_start..body_start + content_length])
-        .map_err(|_| "non-utf8 body")?
-        .to_string();
-    Ok(Response { status, body, raw, excess })
-}
+/// The traffic profiles, in the order they run.
+const PROFILES: [&str; 5] = ["ramp", "spike", "soak", "storm", "overload"];
 
 // ------------------------------------------------------------- verifying
 
@@ -233,7 +170,7 @@ fn run_wave(addr: &str, jobs: &[String], concurrency: usize, what: &str) -> (Tal
                     };
                     let Some(body) = jobs.get(i) else { break };
                     let t0 = Instant::now();
-                    let res = post_job(addr, body);
+                    let res = post_job(addr, body).and_then(|raw| parse_response(&raw));
                     local.record(res, t0.elapsed(), what);
                 }
                 total.lock().unwrap().merge(local);
@@ -250,13 +187,6 @@ fn job_body(size: usize, reps: usize, n_pes: usize) -> String {
         ("schemes", Json::arr(["base", "ccdp"].map(|s| s.to_json()))),
     ])
     .to_string()
-}
-
-fn stats_snapshot(addr: &str) -> Json {
-    get(addr, "/stats")
-        .ok()
-        .and_then(|r| ccdp_json::parse(&r.body).ok())
-        .unwrap_or(Json::Null)
 }
 
 fn stat(doc: &Json, key: &str) -> u64 {
@@ -304,21 +234,21 @@ fn profile_soak(addr: &str, quick: bool) -> ProfileResult {
 
 fn profile_storm(addr: &str, quick: bool) -> ProfileResult {
     let (threads, per_thread) = if quick { (8, 4) } else { (16, 8) };
-    let before = stats_snapshot(addr);
+    let before = stats(addr);
     let body = job_body(11, 2, 4);
     let jobs: Vec<String> = vec![body; threads * per_thread];
     let (tally, wall) = run_wave(addr, &jobs, threads, "storm");
 
     // Byte-identity across the storm: every response to the identical
     // submission must equal the first, headers included.
-    let first = post_job(addr, &jobs[0]).map(|r| r.raw).unwrap_or_default();
+    let first = post_job(addr, &jobs[0]).unwrap_or_default();
     let mut identical = true;
     for _ in 0..3 {
-        if post_job(addr, &jobs[0]).map(|r| r.raw).unwrap_or_default() != first {
+        if post_job(addr, &jobs[0]).unwrap_or_default() != first {
             identical = false;
         }
     }
-    let after = stats_snapshot(addr);
+    let after = stats(addr);
     let lookups = (stat(&after, "cache_hits") + stat(&after, "cache_joins")
         + stat(&after, "cache_misses"))
         .saturating_sub(stat(&before, "cache_hits") + stat(&before, "cache_joins")
@@ -345,9 +275,9 @@ fn profile_overload(addr: &str, quick: bool, burst: usize) -> ProfileResult {
     // bound: admission control must shed some with structured 429s.
     let n = if quick { burst } else { burst * 2 };
     let jobs: Vec<String> = (0..n).map(|i| job_body(24 + i % 4, 6, 8)).collect();
-    let before = stats_snapshot(addr);
+    let before = stats(addr);
     let (tally, wall) = run_wave(addr, &jobs, burst, "overload");
-    let after = stats_snapshot(addr);
+    let after = stats(addr);
     let max_depth_bound = stat(&after, "queue_cap");
     let shed_delta = stat(&after, "shed").saturating_sub(stat(&before, "shed"));
     ProfileResult {
@@ -366,22 +296,21 @@ fn profile_overload(addr: &str, quick: bool, burst: usize) -> ProfileResult {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7077".to_string());
-    let quick = args.iter().any(|a| a == "--quick");
-    let burst: usize =
-        flag_value(&args, "--burst").and_then(|v| v.parse().ok()).unwrap_or(48);
-    let only: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--profile")
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect();
+    let addr = flag_or_exit(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7077".to_string());
+    let quick = has_flag(&args, "--quick");
+    let burst: usize = flag_or_exit(&args, "--burst").unwrap_or(48);
+    let only = or_exit(flag_values(&args, "--profile").and_then(|only| {
+        match only.iter().find(|p| !PROFILES.contains(&p.as_str())) {
+            Some(p) => Err(format!("unknown --profile {p:?} (valid: {})", PROFILES.join(", "))),
+            None => Ok(only),
+        }
+    }));
     let want = |name: &str| only.is_empty() || only.iter().any(|o| o == name);
 
     // Wait for the server.
     let deadline = Instant::now() + Duration::from_secs(15);
     loop {
-        match get(&addr, "/healthz") {
+        match get(&addr, "/healthz").and_then(|raw| parse_response(&raw)) {
             Ok(r) if r.status == 200 => break,
             _ if Instant::now() > deadline => {
                 eprintln!("loadgen: no healthy server at {addr}");
@@ -463,7 +392,7 @@ fn main() {
         }
     }
 
-    let final_stats = stats_snapshot(&addr);
+    let final_stats = stats(&addr);
     let section = Json::obj([
         ("addr", addr.to_json()),
         ("quick", quick.to_json()),

@@ -1,6 +1,6 @@
 //! Crash-safe job-state journals for the supervised service.
 //!
-//! Built on `ccdp_bench::journal`'s fingerprinted line-journal machinery
+//! Built on `ccdp_core::Journal`, the fingerprinted line journal
 //! (exact-match header, fsync-per-line appends, torn-final-line recovery
 //! with atomic compaction), specialized to job lifecycles. Two line kinds:
 //!
@@ -34,7 +34,7 @@
 
 use std::path::{Path, PathBuf};
 
-use ccdp_bench::journal::Journal;
+use ccdp_core::Journal;
 use ccdp_json::{Json, ToJson};
 
 use crate::api::JobSpec;

@@ -17,7 +17,7 @@
 //!   retry with exponential backoff, deterministic failures never do
 //!   ([`api`]);
 //! * **crash-safe journaling** — fsynced job/done lines over
-//!   `ccdp_bench::journal`'s torn-tail-tolerant format, one journal per
+//!   `ccdp_core::Journal`'s torn-tail-tolerant format, one journal per
 //!   worker slot in a shared directory, compacted when they outgrow a
 //!   threshold; `kill -9` then restart replays to byte-identical
 //!   responses ([`journal`]);
@@ -33,10 +33,12 @@
 //! Binaries: `ccdpd` (the daemon), `loadgen` (profiles: ramp, spike,
 //! soak, duplicate-storm, overload), and `chaos` (seeded kill-storm soak
 //! asserting zero lost/duplicated/corrupted responses); both testers
-//! print their results as one compact JSON line on stdout.
+//! print their results as one compact JSON line on stdout, and both talk
+//! to ccdpd through [`client`].
 
 pub mod api;
 pub mod cache;
+pub mod client;
 pub mod http;
 pub mod journal;
 pub mod queue;

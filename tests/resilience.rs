@@ -6,11 +6,11 @@
 use std::fs;
 use std::path::PathBuf;
 
-use ccdp_bench::journal::{header_line, run_journaled_grid, Journal};
+use ccdp_bench::journal::{header_line, resume_cells, run_journaled_grid};
 use ccdp_bench::report::report_json_cells;
-use ccdp_bench::resilience::{run_grid_isolated, CellFailure, CellOutcome, GridOptions};
+use ccdp_bench::resilience::{run_grid_isolated, CellOutcome, GridOptions};
 use ccdp_bench::{paper_kernels, BenchKernel, Scale};
-use ccdp_core::{run_seq, PipelineConfig, PipelineError, Scheme};
+use ccdp_core::{run_seq, CellFailure, PipelineConfig, PipelineError, Scheme};
 use ccdp_ir::{Program, ProgramBuilder};
 use ccdp_json::Json;
 use t3d_sim::FaultPlan;
@@ -275,7 +275,7 @@ fn panics_are_not_checkpointed() {
     let first = run_journaled_grid(&kernels, &pes, &schemes, &opts, &path, &header, false)
         .expect("first run");
     assert_eq!(first.failures[0].2, "panicked");
-    let (_, entries) = Journal::resume(&path, &header).expect("journal readable");
+    let (_, entries) = resume_cells(&path, &header).expect("journal readable");
     assert!(entries.is_empty(), "panicked cells must not be journaled");
     let resumed = run_journaled_grid(&kernels, &pes, &schemes, &opts, &path, &header, true)
         .expect("resume");

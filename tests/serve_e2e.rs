@@ -5,124 +5,34 @@
 //! never surface to clients.
 #![cfg(unix)]
 
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Mutex};
+use std::path::Path;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use ccdp_json::Json;
 use ccdp_serve::api::sample_program;
-
-struct Daemon {
-    child: Child,
-    addr: String,
-    /// slot → pid, kept current by the stdout-reader thread as the
-    /// supervisor respawns crashed workers.
-    workers: Arc<Mutex<HashMap<usize, u32>>>,
-}
-
-fn parse_worker_line(line: &str) -> Option<(usize, u32)> {
-    let rest = line.strip_prefix("ccdpd worker ")?;
-    let mut it = rest.split_whitespace();
-    let slot = it.next()?.parse().ok()?;
-    if it.next() != Some("pid") {
-        return None;
-    }
-    Some((slot, it.next()?.parse().ok()?))
-}
+use ccdp_serve::client::{self, parse_response, Daemon};
 
 fn spawn_ccdpd(extra: &[&str]) -> Daemon {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_ccdpd"))
-        .args(["--addr", "127.0.0.1:0", "--workers", "2"])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn ccdpd");
-    // Stdout carries one `ccdpd worker <slot> pid <pid>` line per spawn
-    // (initial and respawn alike) and one `ccdpd listening on <addr>`
-    // banner once the acceptor is up. Scan until the banner, then keep a
-    // reader thread draining the pipe so respawn lines are captured too.
-    let stdout = child.stdout.take().expect("stdout piped");
-    let workers = Arc::new(Mutex::new(HashMap::new()));
-    let mut reader = BufReader::new(stdout);
-    let addr = loop {
-        let mut line = String::new();
-        assert!(reader.read_line(&mut line).expect("read banner") > 0, "stdout EOF pre-banner");
-        if let Some((slot, pid)) = parse_worker_line(line.trim()) {
-            workers.lock().unwrap().insert(slot, pid);
-        } else if let Some(rest) = line.trim().strip_prefix("ccdpd listening on ") {
-            break rest.to_string();
-        }
-    };
-    let thread_workers = Arc::clone(&workers);
-    std::thread::spawn(move || {
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if let Some((slot, pid)) = parse_worker_line(line.trim()) {
-                thread_workers.lock().unwrap().insert(slot, pid);
-            }
-        }
-    });
-    Daemon { child, addr, workers }
-}
-
-impl Daemon {
-    fn signal(&self, sig: &str) {
-        let ok = Command::new("kill")
-            .args([sig, &self.child.id().to_string()])
-            .status()
-            .expect("run kill")
-            .success();
-        assert!(ok, "kill {sig} failed");
-    }
-
-    fn worker_pids(&self) -> Vec<(usize, u32)> {
-        self.workers.lock().unwrap().iter().map(|(&s, &p)| (s, p)).collect()
-    }
-
-    fn wait_exit(&mut self, within: Duration) -> std::process::ExitStatus {
-        let deadline = Instant::now() + within;
-        loop {
-            if let Some(status) = self.child.try_wait().expect("try_wait") {
-                return status;
-            }
-            if Instant::now() > deadline {
-                let _ = self.child.kill();
-                panic!("ccdpd did not exit within {within:?}");
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
+    let args = [&["--addr", "127.0.0.1:0", "--workers", "2"], extra].concat();
+    Daemon::spawn(Path::new(env!("CARGO_BIN_EXE_ccdpd")), &args, Stdio::inherit())
+        .expect("spawn ccdpd")
 }
 
 /// One raw HTTP exchange; returns the complete response bytes.
 fn exchange(addr: &str, request: &[u8]) -> Vec<u8> {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    s.write_all(request).expect("write request");
-    let mut out = Vec::new();
-    s.read_to_end(&mut out).expect("read response");
-    out
+    client::exchange(addr, request).expect("exchange")
 }
 
 fn post_job(addr: &str, body: &str) -> Vec<u8> {
-    let req =
-        format!("POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}", body.len());
-    exchange(addr, req.as_bytes())
+    client::post_job(addr, body).expect("post job")
 }
 
 fn body_of(response: &[u8]) -> Json {
-    let pos = response.windows(4).position(|w| w == b"\r\n\r\n").expect("head end") + 4;
-    ccdp_json::parse(std::str::from_utf8(&response[pos..]).expect("utf8 body")).expect("json body")
+    ccdp_json::parse(&parse_response(response).expect("parseable response").body)
+        .expect("json body")
 }
 
 fn job_json(size: usize, reps: usize) -> String {
@@ -149,9 +59,9 @@ fn sigterm_drains_and_exits_zero() {
     let body = body_of(&resp);
     assert_eq!(body.get("status").and_then(Json::as_str), Some("ok"), "{body:?}");
     assert_eq!(d.worker_pids().len(), 2, "both worker banners seen");
-    d.signal("-TERM");
+    assert!(d.signal("-TERM"));
     let status = d.wait_exit(Duration::from_secs(30));
-    assert!(status.success(), "drain must exit 0, got {status:?}");
+    assert_eq!(status, Some(0), "drain must exit 0, got {status:?}");
 }
 
 #[test]
@@ -172,8 +82,8 @@ fn health_endpoints_are_structured() {
     assert_eq!(body.get("workers_total").and_then(Json::as_u64), Some(2));
     assert!(body.get("queue_cap").and_then(Json::as_u64).unwrap() > 0);
     assert_eq!(body.get("reasons").map(|r| r.items().len()), Some(0));
-    d.signal("-TERM");
-    assert!(d.wait_exit(Duration::from_secs(30)).success());
+    assert!(d.signal("-TERM"));
+    assert_eq!(d.wait_exit(Duration::from_secs(30)), Some(0));
 }
 
 #[test]
@@ -197,8 +107,8 @@ fn malformed_and_unknown_requests_get_structured_errors() {
     let bad = Json::obj([("program", Json::Str("program x\n  garbage\n".into()))]).to_string();
     let resp = post_job(&d.addr, &bad);
     assert_eq!(body_of(&resp).get("code").and_then(Json::as_str), Some("invalid_program"));
-    d.signal("-TERM");
-    assert!(d.wait_exit(Duration::from_secs(30)).success());
+    assert!(d.signal("-TERM"));
+    assert_eq!(d.wait_exit(Duration::from_secs(30)), Some(0));
 }
 
 #[test]
@@ -218,8 +128,8 @@ fn slow_client_gets_structured_408() {
     assert_eq!(body.get("code").and_then(Json::as_str), Some("request_timeout"));
     assert!(body.get("deadline_ms").and_then(Json::as_u64).unwrap() >= 300);
     assert!(t0.elapsed() < Duration::from_secs(8), "deadline, not the socket timeout, fired");
-    d.signal("-TERM");
-    assert!(d.wait_exit(Duration::from_secs(30)).success());
+    assert!(d.signal("-TERM"));
+    assert_eq!(d.wait_exit(Duration::from_secs(30)), Some(0));
 }
 
 #[test]
@@ -230,8 +140,8 @@ fn duplicate_submissions_are_byte_identical() {
     for _ in 0..3 {
         assert_eq!(post_job(&d.addr, &job), first, "cache hits must be byte-identical");
     }
-    d.signal("-TERM");
-    assert!(d.wait_exit(Duration::from_secs(30)).success());
+    assert!(d.signal("-TERM"));
+    assert_eq!(d.wait_exit(Duration::from_secs(30)), Some(0));
 }
 
 #[test]
@@ -253,8 +163,8 @@ fn cache_hits_are_not_paced_by_the_acceptor() {
     let stats = body_of(&exchange(&d.addr, b"GET /stats HTTP/1.1\r\n\r\n"));
     assert!(stats.get("accepted").and_then(Json::as_u64).unwrap() >= 501, "{stats:?}");
     assert_eq!(stats.get("accept_errors").and_then(Json::as_u64), Some(0), "{stats:?}");
-    d.signal("-TERM");
-    assert!(d.wait_exit(Duration::from_secs(30)).success());
+    assert!(d.signal("-TERM"));
+    assert_eq!(d.wait_exit(Duration::from_secs(30)), Some(0));
 }
 
 #[test]
@@ -263,8 +173,8 @@ fn worker_kill_dash_nine_never_loses_the_response() {
     let baseline = {
         let mut d = spawn_ccdpd(&["--workers", "1"]);
         let resp = post_job(&d.addr, &job_json(20, 6));
-        d.signal("-TERM");
-        assert!(d.wait_exit(Duration::from_secs(60)).success());
+        assert!(d.signal("-TERM"));
+        assert_eq!(d.wait_exit(Duration::from_secs(60)), Some(0));
         resp
     };
     assert_eq!(body_of(&baseline).get("status").and_then(Json::as_str), Some("ok"));
@@ -306,8 +216,8 @@ fn worker_kill_dash_nine_never_loses_the_response() {
         assert!(Instant::now() < deadline, "fleet never recovered to ready");
         std::thread::sleep(Duration::from_millis(50));
     }
-    d.signal("-TERM");
-    assert!(d.wait_exit(Duration::from_secs(60)).success());
+    assert!(d.signal("-TERM"));
+    assert_eq!(d.wait_exit(Duration::from_secs(60)), Some(0));
 }
 
 #[test]
@@ -326,7 +236,7 @@ fn kill_dash_nine_then_resume_replays_byte_identical() {
         fp_b = body_of(&resp_b).get("fingerprint").unwrap().as_str().unwrap().to_string();
         // Hard kill: no drain, no atexit, the journal must already be
         // durable. The orphaned workers exit on their own via stdin EOF.
-        d.signal("-KILL");
+        assert!(d.signal("-KILL"));
         // Drop reaps the corpse.
     }
 
@@ -338,8 +248,8 @@ fn kill_dash_nine_then_resume_replays_byte_identical() {
     }
     // …and a re-submission of the same job is also byte-identical.
     assert_eq!(post_job(&d.addr, &job_a), resp_a);
-    d.signal("-TERM");
-    assert!(d.wait_exit(Duration::from_secs(30)).success());
+    assert!(d.signal("-TERM"));
+    assert_eq!(d.wait_exit(Duration::from_secs(30)), Some(0));
 }
 
 #[test]
@@ -373,6 +283,6 @@ fn overload_sheds_with_structured_queue_full() {
         }
     }
     assert!(shed > 0, "expected at least one structured shed among {} responses", results.len());
-    d.signal("-TERM");
-    assert!(d.wait_exit(Duration::from_secs(60)).success());
+    assert!(d.signal("-TERM"));
+    assert_eq!(d.wait_exit(Duration::from_secs(60)), Some(0));
 }
